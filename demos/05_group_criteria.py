@@ -1,8 +1,8 @@
 """Group-action vanishing criteria from eigenvalue profiles.
 
 A profile records, per conjugacy class, the eigenvalue exponents of the
-action on the differentials of a curve.  Two criteria are evaluated in
-exact cyclotomic arithmetic:
+action on the differentials of a curve.  Two criteria are evaluated
+exactly, in integer arithmetic modulo the cyclotomic polynomial:
 
   * griffiths-level: (wedge^3 V)^G = 0, forcing the Ceresa class to be
     torsion modulo algebraic equivalence;

@@ -35,15 +35,19 @@ RatLike = Union[Fraction, int, str]
 
 
 def rat(value: RatLike) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact rational.
+    """Coerce an int, Fraction, or "p/q" (or decimal) string to an exact rational.
 
-    Floats are rejected: this package never rounds.
+    Floats are rejected: this package never rounds.  Exponent notation
+    ("1e500000") is rejected too, since it lets a short literal demand an
+    integer of unbounded size.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise DomainError(f"invalid rational literal {value!r}: no exponent notation")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -321,22 +325,47 @@ def euler_phi(n: int) -> int:
     return result
 
 
+def monic_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials by a monic divisor.
+
+    Polynomials are coefficient lists, index = degree; ``den`` must be
+    monic, so the division stays in the integers.  The remainder has
+    exactly ``len(den) - 1`` entries and the quotient ``len(num) -
+    len(den) + 1`` (none when ``num`` has the lower degree).
+    """
+    deg = len(den) - 1
+    if deg < 0 or den[-1] != 1:
+        raise DomainError("divisor must be a monic polynomial")
+    terms = [(j, c) for j, c in enumerate(den[:-1]) if c]
+    rem = list(num) + [0] * max(deg - len(num), 0)
+    quot = [0] * max(len(num) - deg, 0)
+    for base in range(len(quot) - 1, -1, -1):
+        q = rem[base + deg]
+        if q:
+            quot[base] = q
+            for j, c in terms:
+                rem[base + j] -= q * c
+    return quot, rem[:deg]
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(level: int) -> UPoly:
     """The cyclotomic polynomial of the given level.
 
     Computed by dividing x^L - 1 by the product of the lower-level
-    cyclotomic polynomials at the proper divisors of L.
+    cyclotomic polynomials at the proper divisors of L, in integer
+    arithmetic (every cyclotomic polynomial is monic with integer
+    coefficients).
     """
     if level < 1:
         raise DomainError("cyclotomic level must be positive")
-    num = UPoly.x_pow(level) - UPoly.one()
+    num = [-1] + [0] * (level - 1) + [1]
     for d in _divisors(level):
         if d == level:
             continue
-        num, rem = divmod(num, cyclotomic_polynomial(d))
-        assert rem.is_zero()
-    return num
+        num, rem = monic_divmod(num, [int(c) for c in cyclotomic_polynomial(d).coeffs])
+        assert not any(rem)
+    return UPoly(num)
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,10 +18,16 @@ Two vanishing criteria are evaluated from a profile:
     case the Ceresa class is torsion modulo rational equivalence.
 
 The exterior-cube character is the classical Newton formula
-chi_w3(h) = (chi(h)^3 - 3 chi(h) chi(h^2) + 2 chi(h^3)) / 6, evaluated in
-exact cyclotomic arithmetic.  Invariant dimensions are the usual averages
-over the group; a non-integral or negative average proves the input was
-not a genuine group action and raises :class:`ProfileError`.
+chi_w3(h) = (chi(h)^3 - 3 chi(h) chi(h^2) + 2 chi(h^3)) / 6.  Invariant
+dimensions are the usual averages over the group, computed in exact integer
+arithmetic: a character value is an integer vector v with sum v[i] zeta^i,
+packed into one Python int by Kronecker substitution (digit i, a fixed
+number of bytes wide, holds v[i]), so products of characters are products
+of ints.
+The group sums are folded mod x^L - 1 and reduced mod the L-th cyclotomic
+polynomial; the average is rational exactly when the remainder is constant.
+An irrational, non-integral or negative average proves the input was not a
+genuine group action and raises :class:`ProfileError`.
 
 The module also ships the one-parameter dihedral covers
 y^m = ((x+1)/(x-1))^a ((x+t)/(x-t))^b with 0 < a < b < m/2 and
@@ -37,8 +43,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, NotRationalError, ProfileError
-from .exactmath import CycNum, UPoly, cyc_to_rational, root_of_unity
+from .errors import DomainError, ProfileError
+from .exactmath import cyclotomic_polynomial, monic_divmod
 
 
 @dataclass(frozen=True)
@@ -102,72 +108,60 @@ def profile_from_json(data: dict) -> ActionProfile:
         raise ProfileError(f"malformed profile JSON: {exc}") from exc
 
 
-def char_power(cls: ConjClass, k: int, level: int) -> CycNum:
-    """Character value on the k-th power of a class representative.
-
-    Equals the sum of the k-th powers of the representative's eigenvalues.
-    """
-    total = CycNum.from_rational(0, level)
-    for e in cls.exps:
-        total = total + root_of_unity(level, k * e)
-    return total
-
-
-def _count_vector(exps, level: int) -> list[int]:
-    # integer vector v with sum v[i] * zeta^i equal to sum of zeta^e
-    v = [0] * level
-    for e in exps:
-        v[e % level] += 1
-    return v
-
-
-def _cyclic_mul(u: list[int], v: list[int], level: int) -> list[int]:
-    # product in Z[zeta], unreduced: convolution of exponent vectors mod level
-    out = [0] * level
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                if vj:
-                    k = i + j
-                    if k >= level:
-                        k -= level
-                    out[k] += ui * vj
-    return out
-
-
-def _wedge3_char_six(exps: tuple[int, ...], level: int) -> list[int]:
-    # 6 * chi_wedge3 = chi1^3 - 3*chi1*chi2 + 2*chi3, as an integer vector;
-    # the eigenvalues of h^k are the k-th powers of those of h
-    c1 = _count_vector(exps, level)
-    c2 = _count_vector((2 * e for e in exps), level)
-    c3 = _count_vector((3 * e for e in exps), level)
-    cube = _cyclic_mul(_cyclic_mul(c1, c1, level), c1, level)
-    cross = _cyclic_mul(c1, c2, level)
-    return [a - 3 * b + 2 * c for a, b, c in zip(cube, cross, c3)]
-
-
 def _h1_exps(exps: tuple[int, ...], level: int) -> tuple[int, ...]:
     # H^1 carries each eigenvalue together with its conjugate.
     return exps + tuple((-e) % level for e in exps)
 
 
-def _vector_to_dim(profile: ActionProfile, total: list[int], scale: int) -> int:
-    # exact division by the group-average denominator happens in the
-    # rational coefficients of the cyclotomic number
-    value = CycNum(profile.level, UPoly(total)) * Fraction(1, scale)
-    try:
-        dim = cyc_to_rational(value)
-    except NotRationalError as exc:
-        raise ProfileError("invariant average is irrational; not a group action") from exc
-    if dim.denominator != 1 or dim < 0:
-        raise ProfileError(f"invariant average {dim} is not a nonnegative integer")
-    return int(dim)
-
-
-def _space_exps(cls: ConjClass, space: str, level: int) -> tuple[int, ...]:
+def _space_exps(profile: ActionProfile, space: str) -> list[tuple[int, ...]]:
     if space not in ("V", "H1"):
         raise DomainError(f"unknown space {space!r}; expected 'V' or 'H1'")
-    return cls.exps if space == "V" else _h1_exps(cls.exps, level)
+    if space == "V":
+        return [cls.exps for cls in profile.classes]
+    return [_h1_exps(cls.exps, profile.level) for cls in profile.classes]
+
+
+def _digit_bytes(profile: ActionProfile, d: int) -> int:
+    # A class contributes at most d^3 to any digit of chi^3 (and less to
+    # chi*chi2 and chi3), so no digit of a group sum exceeds group_order * d^3;
+    # one spare bit, rounded up to whole bytes, keeps digits from carrying.
+    return ((profile.group_order * d**3).bit_length() + 8) // 8
+
+
+def _pack(exps, k: int, level: int, nbytes: int) -> int:
+    # Kronecker substitution of the count vector of k * exps mod the level:
+    # the character of h^k, since its eigenvalues are those of h to the k
+    counts = [0] * level
+    for e in exps:
+        counts[k * e % level] += 1
+    return int.from_bytes(b"".join([c.to_bytes(nbytes, "little") for c in counts]), "little")
+
+
+def _fold(packed: int, level: int, nbytes: int) -> list[int]:
+    # Reduce mod x^level - 1 by adding the digits at and above `level` onto
+    # the low ones (no carries, by the width bound), then unpack.
+    span = 8 * nbytes * level
+    low = (1 << span) - 1
+    while packed >> span:
+        packed = (packed & low) + (packed >> span)
+    data = packed.to_bytes(nbytes * level, "little")
+    return [int.from_bytes(data[i:i + nbytes], "little") for i in range(0, len(data), nbytes)]
+
+
+def _vector_to_dim(total: list[int], scale: int, level: int) -> int:
+    # total[i] are the coefficients of scale * (invariant average) in powers
+    # of zeta; the remainder mod the cyclotomic polynomial is the unique
+    # representative of degree < phi(level), constant iff the value is rational.
+    phi = [int(c) for c in cyclotomic_polynomial(level).coeffs]
+    _, rem = monic_divmod(total, phi)
+    if any(rem[1:]):
+        raise ProfileError("invariant average is irrational; not a group action")
+    dim, r = divmod(rem[0], scale)
+    if r or dim < 0:
+        raise ProfileError(
+            f"invariant average {Fraction(rem[0], scale)} is not a nonnegative integer"
+        )
+    return dim
 
 
 @lru_cache(maxsize=4096)
@@ -175,22 +169,34 @@ def dim_inv_wedge3(profile: ActionProfile, space: str = "V") -> int:
     """Dimension of the group invariants of the exterior cube of V or of H^1."""
     if profile.dim < 3:
         raise DomainError("exterior cube needs dim V >= 3")
-    total = [0] * profile.level
-    for cls in profile.classes:
-        exps = _space_exps(cls, space, profile.level)
-        for i, w in enumerate(_wedge3_char_six(exps, profile.level)):
-            total[i] += cls.size * w
-    return _vector_to_dim(profile, total, 6 * profile.group_order)
+    spaces = _space_exps(profile, space)
+    level = profile.level
+    nbytes = _digit_bytes(profile, len(spaces[0]))
+    cube = cross = triple = 0
+    for cls, exps in zip(profile.classes, spaces):
+        c1 = _pack(exps, 1, level, nbytes)
+        cube += cls.size * c1 * c1 * c1
+        cross += cls.size * c1 * _pack(exps, 2, level, nbytes)
+        triple += cls.size * _pack(exps, 3, level, nbytes)
+    # 6 * chi_wedge3 = chi^3 - 3 chi chi2 + 2 chi3, summed over the group
+    total = [
+        a - 3 * b + 2 * c
+        for a, b, c in zip(
+            _fold(cube, level, nbytes), _fold(cross, level, nbytes), _fold(triple, level, nbytes)
+        )
+    ]
+    return _vector_to_dim(total, 6 * profile.group_order, level)
 
 
 def invariant_dim(profile: ActionProfile, space: str = "V") -> int:
     """Dimension of the group invariants of V or of H^1 = V + conjugate(V)."""
-    total = [0] * profile.level
-    for cls in profile.classes:
-        exps = _space_exps(cls, space, profile.level)
-        for i, w in enumerate(_count_vector(exps, profile.level)):
-            total[i] += cls.size * w
-    return _vector_to_dim(profile, total, profile.group_order)
+    spaces = _space_exps(profile, space)
+    level = profile.level
+    nbytes = _digit_bytes(profile, len(spaces[0]))
+    total = sum(
+        cls.size * _pack(exps, 1, level, nbytes) for cls, exps in zip(profile.classes, spaces)
+    )
+    return _vector_to_dim(_fold(total, level, nbytes), profile.group_order, level)
 
 
 def griffiths_criterion_applies(profile: ActionProfile) -> bool:

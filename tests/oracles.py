@@ -2,8 +2,10 @@
 
 These deliberately avoid the production code paths they check: torsion
 enumeration goes through the generic division-polynomial recurrence and a
-rational-root search, and invariant dimensions of exterior cubes are
-counted by brute-force triple enumeration.
+rational-root search, invariant dimensions of exterior cubes are
+counted by brute-force triple enumeration, and the group averages of the
+character kernel are recomputed in cyclotomic-field arithmetic (``CycNum``)
+instead of packed integers.
 """
 
 from __future__ import annotations
@@ -20,7 +22,15 @@ from ceresa_kit.elliptic import (
     point_sort_key,
     torsion_order_q,
 )
-from ceresa_kit.exactmath import UPoly, rat, rational_sqrt
+from ceresa_kit.errors import NotRationalError, ProfileError
+from ceresa_kit.exactmath import (
+    CycNum,
+    UPoly,
+    cyc_to_rational,
+    rat,
+    rational_sqrt,
+)
+from ceresa_kit.repcrit import ActionProfile, ConjClass
 
 # psi_n is represented as (g, parity) with psi_n = g(x) * y^parity and
 # y^2 reduced to x^3 + Ax + B.
@@ -179,6 +189,56 @@ def wedge3_invariants_bruteforce(exps, level: int) -> int:
 def invariants_bruteforce(exps, level: int) -> int:
     """Count exponents divisible by the level (cyclic invariant dimension)."""
     return sum(1 for e in exps if e % level == 0)
+
+
+def char_power(cls: ConjClass, k: int, level: int) -> CycNum:
+    """Character value on the k-th power of a class representative.
+
+    Equals the sum of the k-th powers of the representative's eigenvalues.
+    """
+    counts = [0] * level
+    for e in cls.exps:
+        counts[(k * e) % level] += 1
+    return CycNum(level, UPoly(counts))
+
+
+def _space_class(cls: ConjClass, space: str) -> ConjClass:
+    # H^1 carries each eigenvalue together with its conjugate.
+    assert space in ("V", "H1")
+    return cls if space == "V" else ConjClass(cls.size, cls.exps + tuple(-e for e in cls.exps))
+
+
+def _group_average(total: CycNum, scale: int) -> int:
+    try:
+        dim = cyc_to_rational(total * Fraction(1, scale))
+    except NotRationalError as exc:
+        raise ProfileError("invariant average is irrational") from exc
+    if dim.denominator != 1 or dim < 0:
+        raise ProfileError(f"invariant average {dim} is not a nonnegative integer")
+    return int(dim)
+
+
+def invariant_dim_cyclotomic(profile: ActionProfile, space: str) -> int:
+    """Group average of the character of V or H^1, in cyclotomic arithmetic."""
+    level = profile.level
+    total = CycNum.from_rational(0, level)
+    for cls in profile.classes:
+        total = total + char_power(_space_class(cls, space), 1, level) * cls.size
+    return _group_average(total, profile.group_order)
+
+
+def wedge3_dim_cyclotomic(profile: ActionProfile, space: str) -> int:
+    """Group average of the exterior-cube character, in cyclotomic arithmetic.
+
+    Newton's formula chi_w3(h) = (chi(h)^3 - 3 chi(h) chi(h^2) + 2 chi(h^3)) / 6
+    is evaluated class by class as elements of the cyclotomic field.
+    """
+    level = profile.level
+    total = CycNum.from_rational(0, level)
+    for cls in profile.classes:
+        c1, c2, c3 = (char_power(_space_class(cls, space), k, level) for k in (1, 2, 3))
+        total = total + (c1 * (c1 * c1 - c2 * 3) + c3 * 2) * cls.size
+    return _group_average(total, 6 * profile.group_order)
 
 
 def random_rational(rng: random.Random, num: int = 20, den: int = 8) -> Fraction:

@@ -209,6 +209,14 @@ def test_exit_codes(capsys):
     assert code == 0
 
 
+def test_exponent_literals_exit_with_domain_error(capsys):
+    code, out, err = run(capsys, "decide", "-a", "1e500000", "-b", "0", "-c", "1")
+    assert code == 2 and "exponent" in err and out == ""
+    code, _, err = run(capsys, "scan", "--a-range", "0:1E3", "--b-range", "1",
+                       "--c-range", "1")
+    assert code == 2 and "exponent" in err
+
+
 def test_json_outputs_are_valid_json(capsys):
     fixtures = [
         ["invariants", "-a", "1", "-b", "2", "-c", "3"],

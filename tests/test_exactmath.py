@@ -12,6 +12,7 @@ from ceresa_kit.exactmath import (
     cyc_to_rational,
     cyclotomic_polynomial,
     euler_phi,
+    monic_divmod,
     poly_discriminant,
     rat,
     rat_str,
@@ -51,6 +52,14 @@ def test_rat_parsing_and_serialization():
         rat("abc")
     with pytest.raises(DomainError):
         rat(1.5)
+
+
+def test_rat_rejects_exponent_notation():
+    assert rat("1.25") == Fraction(5, 4)
+    assert rat(" -7/3 ") == Fraction(-7, 3)
+    for literal in ("1e500000", "1E5", "2.5e-3", "-1e3/7", "1e999999999"):
+        with pytest.raises(DomainError):
+            rat(literal)
 
 
 def test_rational_nth_root():
@@ -111,6 +120,28 @@ def test_cyclotomic_examples():
     assert cyclotomic_polynomial(9) == quot == UPoly([1, 0, 0, 1, 0, 0, 1])
     for level in range(1, 31):
         assert cyclotomic_polynomial(level).degree() == euler_phi(level)
+    # x^L - 1 is the product of the cyclotomic polynomials at the divisors of L
+    for level in range(1, 65):
+        product = UPoly.one()
+        for d in range(1, level + 1):
+            if level % d == 0:
+                product = product * cyclotomic_polynomial(d)
+        assert product == UPoly.x_pow(level) - UPoly.one()
+
+
+def test_monic_divmod_matches_rational_division():
+    rng = random.Random(67)
+    for _ in range(200):
+        num = [rng.randint(-9, 9) for _ in range(rng.randint(0, 12))]
+        den = [rng.randint(-3, 3) for _ in range(rng.randint(0, 6))] + [1]
+        quot, rem = monic_divmod(num, den)
+        assert len(rem) == len(den) - 1
+        assert len(quot) == max(len(num) - len(den) + 1, 0)
+        assert (UPoly(quot), UPoly(rem)) == divmod(UPoly(num), UPoly(den))
+    with pytest.raises(DomainError):
+        monic_divmod([1, 2, 3], [1, 2])
+    with pytest.raises(DomainError):
+        monic_divmod([1, 2, 3], [])
 
 
 def test_root_of_unity_examples():

@@ -4,13 +4,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ceresa_kit.errors import DomainError, ProfileError
 from ceresa_kit.exactmath import UPoly, cyc_to_rational
 from ceresa_kit.repcrit import (
     ActionProfile,
     ConjClass,
-    char_power,
     chow_criterion_applies,
     cyclic_profile,
     dihedral_genus,
@@ -23,7 +23,13 @@ from ceresa_kit.repcrit import (
     preset_profile,
     profile_from_json,
 )
-from oracles import invariants_bruteforce, wedge3_invariants_bruteforce
+from oracles import (
+    char_power,
+    invariant_dim_cyclotomic,
+    invariants_bruteforce,
+    wedge3_dim_cyclotomic,
+    wedge3_invariants_bruteforce,
+)
 
 
 def test_char_power_examples():
@@ -198,3 +204,109 @@ def test_preset_names():
         preset_profile("nonsense")
     with pytest.raises(DomainError):
         preset_profile("dihedral:5,1")
+
+
+@st.composite
+def cyclic_profiles(draw):
+    order = draw(st.integers(1, 40))
+    gen = draw(st.lists(st.integers(0, order - 1), min_size=3, max_size=8))
+    return cyclic_profile(order, tuple(gen))
+
+
+def _dihedral_group_action(n: int, irreps: list) -> ActionProfile:
+    """The dihedral group of order 2n acting by a direct sum of irreducibles.
+
+    Eigenvalue exponents are at level 2n.  Rotation classes {r^k, r^-k} have
+    size 2 (size 1 for k = 0 and k = n/2); the reflections form one class of
+    size n for odd n, two classes {s r^even}, {s r^odd} of size n/2 for even
+    n.  An irreducible is "1" (trivial), "sign" (-1 on reflections),
+    ("psi", eps) for even n (r -> -1, s -> eps) or ("rho", j), the
+    two-dimensional representation with r -> diag(z^j, z^-j), z = exp(2 pi i/n).
+    """
+    level = 2 * n
+    rotations = [(1 if 2 * k in (0, n) else 2, k) for k in range(n // 2 + 1)]
+    reflections = [(n, 0)] if n % 2 else [(n // 2, 0), (n // 2, 1)]
+
+    def rotation_exps(irrep, k):
+        if irrep in ("1", "sign"):
+            return (0,)
+        if irrep[0] == "psi":
+            return ((n * k) % level,)
+        return ((2 * irrep[1] * k) % level, (-2 * irrep[1] * k) % level)
+
+    def reflection_exps(irrep, parity):
+        if irrep == "1":
+            return (0,)
+        if irrep == "sign":
+            return (n,)
+        if irrep[0] == "psi":
+            return (0 if irrep[1] * (-1) ** parity == 1 else n,)
+        return (0, n)
+
+    classes = [ConjClass(size, sum((rotation_exps(i, k) for i in irreps), ()))
+               for size, k in rotations]
+    classes += [ConjClass(size, sum((reflection_exps(i, p) for i in irreps), ()))
+                for size, p in reflections]
+    return ActionProfile(2 * n, level, tuple(classes))
+
+
+@st.composite
+def dihedral_group_actions(draw):
+    n = draw(st.integers(2, 10))
+    choices = ["1", "sign"] + [("rho", j) for j in range(1, (n + 1) // 2)]
+    if n % 2 == 0:
+        choices += [("psi", 1), ("psi", -1)]
+    irreps = draw(st.lists(st.sampled_from(choices), min_size=2, max_size=5))
+    profile = _dihedral_group_action(n, irreps)
+    if profile.dim < 3:
+        irreps.append("1")
+        profile = _dihedral_group_action(n, irreps)
+    return profile, irreps.count("1")
+
+
+@st.composite
+def arbitrary_profiles(draw):
+    # Valid shape (identity class, sizes summing to the order), but the
+    # classes are random, so most are not group actions.
+    level = draw(st.integers(1, 24))
+    dim = draw(st.integers(3, 6))
+    exps = st.lists(st.integers(0, level - 1), min_size=dim, max_size=dim).map(tuple)
+    others = draw(st.lists(st.tuples(st.integers(1, 4), exps), max_size=5))
+    classes = (ConjClass(1, (0,) * dim),) + tuple(ConjClass(s, e) for s, e in others)
+    return ActionProfile(sum(cls.size for cls in classes), level, classes)
+
+
+def _assert_same_outcome(kernel, reference, profile, space):
+    try:
+        expected = reference(profile, space)
+    except ProfileError:
+        with pytest.raises(ProfileError):
+            kernel(profile, space)
+        return
+    assert kernel(profile, space) == expected
+
+
+def _assert_kernel_matches_cyclotomic_reference(profile):
+    for space in ("V", "H1"):
+        _assert_same_outcome(dim_inv_wedge3, wedge3_dim_cyclotomic, profile, space)
+        _assert_same_outcome(invariant_dim, invariant_dim_cyclotomic, profile, space)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cyclic_profiles())
+def test_kernel_matches_cyclotomic_reference_on_cyclic_profiles(profile):
+    _assert_kernel_matches_cyclotomic_reference(profile)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dihedral_group_actions())
+def test_kernel_matches_cyclotomic_reference_on_dihedral_groups(case):
+    profile, trivial_summands = case
+    _assert_kernel_matches_cyclotomic_reference(profile)
+    assert invariant_dim(profile, "V") == trivial_summands
+
+
+@settings(max_examples=80, deadline=None)
+@given(arbitrary_profiles())
+def test_kernel_matches_cyclotomic_reference_on_arbitrary_profiles(profile):
+    _assert_kernel_matches_cyclotomic_reference(profile)
