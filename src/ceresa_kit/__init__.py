@@ -20,7 +20,6 @@ from .exactmath import (
     poly_discriminant,
     rat,
     rat_str,
-    root_of_unity,
 )
 from .quartic import (
     DepressedQuartic,

@@ -203,9 +203,8 @@ def _cmd_repcrit(args) -> int:
 
 
 def _cmd_dihedral(args) -> int:
-    genus = repcrit.dihedral_genus(args.m, args.a, args.b)
-    vanishing = repcrit.dihedral_vanishing(args.m, args.a, args.b)
-    witness = repcrit.dihedral_witness_triple(args.m, args.a, args.b)
+    genus, witness = repcrit.dihedral_criterion(args.m, args.a, args.b)
+    vanishing = witness is None
     if args.format == "json":
         _print_json(
             {
@@ -280,76 +279,70 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+def _arg(*flags: str, **options) -> tuple:
+    return flags, options
 
 
-def build_parser() -> _Parser:
+def _required(*flags: str, **options) -> tuple:
+    return tuple(_arg(flag, required=True, **options) for flag in flags)
+
+
+_FORMAT = _arg("--format", choices=("text", "json"), default="text")
+
+# One row per subcommand: name, help, handler, and its arguments as
+# (flags, add_argument keywords) pairs, in the order its help lists them.
+_COMMANDS = (
+    ("invariants", "invariants (I, J, disc) of a quartic", _cmd_invariants,
+     (*_required("-a", "-b", "-c"), _FORMAT)),
+    ("decide", "Ceresa torsion verdict for y^3 = quartic", _cmd_decide,
+     (*_required("-a", "-b", "-c"), _FORMAT)),
+    ("torsion", "order of a point on y^2 = x^3 + Ax + B over Q", _cmd_torsion,
+     (*_required("-A", "-B", "-x", "-y"), _FORMAT)),
+    ("family", "torsion-family member for (I, J) at parameter t", _cmd_family,
+     (*_required("-I", "-J", "-t"), _FORMAT)),
+    ("e0-torsion", "rational torsion of y^2 = 4x^3 - 27", _cmd_e0_torsion, (_FORMAT,)),
+    ("bielliptic", "cross-check the b = 0 isogeny route", _cmd_bielliptic,
+     (*_required("-a", "-c"), _FORMAT)),
+    ("repcrit", "group-action vanishing criteria from a profile", _cmd_repcrit, (
+        _arg("--profile", required=True,
+             help="profile JSON file or preset: "
+                  f"{', '.join(repcrit.PRESET_NAMES)}, dihedral:m,a,b"),
+        _arg("--criterion", choices=("a", "b"), default=None),
+        _FORMAT,
+    )),
+    ("dihedral", "genus and triple criterion of a dihedral cover", _cmd_dihedral,
+     (*_required("-m", "-a", "-b", type=int), _FORMAT)),
+    ("strata", "genus-3 automorphism strata table", _cmd_strata, (
+        _arg("--group", default=None),
+        _arg("--check", action="store_true"),
+        _FORMAT,
+    )),
+    ("scan", "decide a coefficient grid, emit CSV", _cmd_scan, (
+        _arg("--a-range", required=True, dest="a_range"),
+        _arg("--b-range", required=True, dest="b_range"),
+        _arg("--c-range", required=True, dest="c_range"),
+        _arg("--out", default=None),
+        _arg("--threads", type=int, default=None),
+    )),
+)
+_COMMAND_NAMES = frozenset(row[0] for row in _COMMANDS)
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The ceresa-kit parser with every subcommand, or with `command`'s alone.
+
+    A call that names its subcommand needs only that subparser; help and
+    usage messages about the command as a whole need the full parser.
+    """
     parser = _Parser(prog="ceresa-kit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("invariants", help="invariants (I, J, disc) of a quartic")
-    for flag in ("-a", "-b", "-c"):
-        p.add_argument(flag, required=True)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_invariants)
-
-    p = sub.add_parser("decide", help="Ceresa torsion verdict for y^3 = quartic")
-    for flag in ("-a", "-b", "-c"):
-        p.add_argument(flag, required=True)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_decide)
-
-    p = sub.add_parser("torsion", help="order of a point on y^2 = x^3 + Ax + B over Q")
-    for flag in ("-A", "-B", "-x", "-y"):
-        p.add_argument(flag, required=True)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_torsion)
-
-    p = sub.add_parser("family", help="torsion-family member for (I, J) at parameter t")
-    for flag in ("-I", "-J", "-t"):
-        p.add_argument(flag, required=True)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_family)
-
-    p = sub.add_parser("e0-torsion", help="rational torsion of y^2 = 4x^3 - 27")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_e0_torsion)
-
-    p = sub.add_parser("bielliptic", help="cross-check the b = 0 isogeny route")
-    for flag in ("-a", "-c"):
-        p.add_argument(flag, required=True)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_bielliptic)
-
-    p = sub.add_parser("repcrit", help="group-action vanishing criteria from a profile")
-    p.add_argument("--profile", required=True,
-                   help="profile JSON file or preset: "
-                        f"{', '.join(repcrit.PRESET_NAMES)}, dihedral:m,a,b")
-    p.add_argument("--criterion", choices=("a", "b"), default=None)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_repcrit)
-
-    p = sub.add_parser("dihedral", help="genus and triple criterion of a dihedral cover")
-    for flag in ("-m", "-a", "-b"):
-        p.add_argument(flag, required=True, type=int)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_dihedral)
-
-    p = sub.add_parser("strata", help="genus-3 automorphism strata table")
-    p.add_argument("--group", default=None)
-    p.add_argument("--check", action="store_true")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_strata)
-
-    p = sub.add_parser("scan", help="decide a coefficient grid, emit CSV")
-    p.add_argument("--a-range", required=True, dest="a_range")
-    p.add_argument("--b-range", required=True, dest="b_range")
-    p.add_argument("--c-range", required=True, dest="c_range")
-    p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=None)
-    p.set_defaults(handler=_cmd_scan)
-
+    for name, help_text, handler, arguments in _COMMANDS:
+        if command is not None and name != command:
+            continue
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -357,11 +350,14 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_negative_values(list(argv))
-    parser = build_parser()
+    command = argv[0] if argv and argv[0] in _COMMAND_NAMES else None
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        if command is not None:  # the usage line lists every subcommand
+            parser = build_parser()
         parser.print_usage(sys.stderr)
         return 1
     except SystemExit as exc:  # --help

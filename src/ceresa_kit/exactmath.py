@@ -307,24 +307,6 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def euler_phi(n: int) -> int:
-    """Euler's totient, by trial-division factorization."""
-    if n < 1:
-        raise DomainError("totient requires a positive integer")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
 def monic_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     """Quotient and remainder of integer polynomials by a monic divisor.
 
@@ -451,13 +433,6 @@ class CycNum:
         return f"CycNum(level={self.level}, {self.rep})"
 
     __repr__ = __str__
-
-
-def root_of_unity(level: int, exponent: int) -> CycNum:
-    """The primitive level-th root of unity raised to the given exponent."""
-    if level < 1:
-        raise DomainError("cyclotomic level must be positive")
-    return CycNum(level, UPoly.x_pow(exponent % level))
 
 
 def cyc_to_rational(z: CycNum) -> Fraction:

@@ -42,6 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from .errors import DomainError, ProfileError
 from .exactmath import cyclotomic_polynomial, monic_divmod
@@ -77,11 +78,15 @@ class ActionProfile:
             raise ProfileError("class sizes do not sum to the group order")
         if not any(all(e % self.level == 0 for e in cls.exps) for cls in self.classes):
             raise ProfileError("identity class (all exponents 0) is missing")
-        normalized = tuple(
-            ConjClass(cls.size, tuple(e % self.level for e in cls.exps))
-            for cls in self.classes
-        )
-        object.__setattr__(self, "classes", normalized)
+        # Reduce exponents mod the level, unless every one is reduced already
+        # (cyclic_profile builds reduced classes).
+        if any(cls.exps and (min(cls.exps) < 0 or max(cls.exps) >= self.level)
+               for cls in self.classes):
+            normalized = tuple(
+                ConjClass(cls.size, tuple(e % self.level for e in cls.exps))
+                for cls in self.classes
+            )
+            object.__setattr__(self, "classes", normalized)
 
     @property
     def dim(self) -> int:
@@ -110,7 +115,7 @@ def profile_from_json(data: dict) -> ActionProfile:
 
 def _h1_exps(exps: tuple[int, ...], level: int) -> tuple[int, ...]:
     # H^1 carries each eigenvalue together with its conjugate.
-    return exps + tuple((-e) % level for e in exps)
+    return exps + tuple([-e % level for e in exps])
 
 
 def _space_exps(profile: ActionProfile, space: str) -> list[tuple[int, ...]]:
@@ -128,16 +133,21 @@ def _digit_bytes(profile: ActionProfile, d: int) -> int:
     return ((profile.group_order * d**3).bit_length() + 8) // 8
 
 
-def _pack(exps, k: int, level: int, nbytes: int) -> int:
-    # Kronecker substitution of the count vector of k * exps mod the level:
-    # the character of h^k, since its eigenvalues are those of h to the k
+def _pack(exps: tuple[int, ...], level: int, nbytes: int) -> int:
+    # Kronecker substitution of the count vector of exps (reduced mod the
+    # level): digit i, nbytes wide, holds how many exponents equal i.  No
+    # count exceeds len(exps), so only its low bytes are written, one byte
+    # plane at a time.
     counts = [0] * level
     for e in exps:
-        counts[k * e % level] += 1
-    return int.from_bytes(b"".join([c.to_bytes(nbytes, "little") for c in counts]), "little")
+        counts[e] += 1
+    digits = bytearray(nbytes * level)
+    for j in range((len(exps).bit_length() + 7) // 8):
+        digits[j::nbytes] = bytes([c >> (8 * j) & 255 for c in counts])
+    return int.from_bytes(digits, "little")
 
 
-def _fold(packed: int, level: int, nbytes: int) -> list[int]:
+def _fold(packed: int, level: int, nbytes: int) -> tuple[int, ...]:
     # Reduce mod x^level - 1 by adding the digits at and above `level` onto
     # the low ones (no carries, by the width bound), then unpack.
     span = 8 * nbytes * level
@@ -145,10 +155,11 @@ def _fold(packed: int, level: int, nbytes: int) -> list[int]:
     while packed >> span:
         packed = (packed & low) + (packed >> span)
     data = packed.to_bytes(nbytes * level, "little")
-    return [int.from_bytes(data[i:i + nbytes], "little") for i in range(0, len(data), nbytes)]
+    return tuple([int.from_bytes(data[i:i + nbytes], "little")
+                  for i in range(0, len(data), nbytes)])
 
 
-def _vector_to_dim(total: list[int], scale: int, level: int) -> int:
+def _vector_to_dim(total: Sequence[int], scale: int, level: int) -> int:
     # total[i] are the coefficients of scale * (invariant average) in powers
     # of zeta; the remainder mod the cyclotomic polynomial is the unique
     # representative of degree < phi(level), constant iff the value is rational.
@@ -165,38 +176,49 @@ def _vector_to_dim(total: list[int], scale: int, level: int) -> int:
 
 
 @lru_cache(maxsize=4096)
+def _group_sums(profile: ActionProfile, space: str) -> tuple[tuple[int, ...], ...]:
+    """Sums of size * chi, chi^3, chi * chi2 and chi3 over the classes, folded.
+
+    chi is the character of V or H^1 on a class representative h, chi2 and
+    chi3 its values on h^2 and h^3.  The count vector of h^k is looked up
+    by its exponent tuple, so each distinct vector is packed once: in a
+    cyclic profile the powers of a class are other classes.
+    """
+    spaces = _space_exps(profile, space)
+    level = profile.level
+    nbytes = _digit_bytes(profile, len(spaces[0]))
+    packed = {}
+
+    def pack(exps):
+        value = packed.get(exps)
+        if value is None:
+            value = packed[exps] = _pack(exps, level, nbytes)
+        return value
+
+    single = cube = cross = triple = 0
+    for cls, exps in zip(profile.classes, spaces):
+        c1 = pack(exps)
+        single += cls.size * c1
+        cube += cls.size * c1 * c1 * c1
+        cross += cls.size * c1 * pack(tuple([2 * e % level for e in exps]))
+        triple += cls.size * pack(tuple([3 * e % level for e in exps]))
+    return tuple(_fold(total, level, nbytes) for total in (single, cube, cross, triple))
+
+
+@lru_cache(maxsize=4096)
 def dim_inv_wedge3(profile: ActionProfile, space: str = "V") -> int:
     """Dimension of the group invariants of the exterior cube of V or of H^1."""
     if profile.dim < 3:
         raise DomainError("exterior cube needs dim V >= 3")
-    spaces = _space_exps(profile, space)
-    level = profile.level
-    nbytes = _digit_bytes(profile, len(spaces[0]))
-    cube = cross = triple = 0
-    for cls, exps in zip(profile.classes, spaces):
-        c1 = _pack(exps, 1, level, nbytes)
-        cube += cls.size * c1 * c1 * c1
-        cross += cls.size * c1 * _pack(exps, 2, level, nbytes)
-        triple += cls.size * _pack(exps, 3, level, nbytes)
+    _, cube, cross, triple = _group_sums(profile, space)
     # 6 * chi_wedge3 = chi^3 - 3 chi chi2 + 2 chi3, summed over the group
-    total = [
-        a - 3 * b + 2 * c
-        for a, b, c in zip(
-            _fold(cube, level, nbytes), _fold(cross, level, nbytes), _fold(triple, level, nbytes)
-        )
-    ]
-    return _vector_to_dim(total, 6 * profile.group_order, level)
+    total = [a - 3 * b + 2 * c for a, b, c in zip(cube, cross, triple)]
+    return _vector_to_dim(total, 6 * profile.group_order, profile.level)
 
 
 def invariant_dim(profile: ActionProfile, space: str = "V") -> int:
     """Dimension of the group invariants of V or of H^1 = V + conjugate(V)."""
-    spaces = _space_exps(profile, space)
-    level = profile.level
-    nbytes = _digit_bytes(profile, len(spaces[0]))
-    total = sum(
-        cls.size * _pack(exps, 1, level, nbytes) for cls, exps in zip(profile.classes, spaces)
-    )
-    return _vector_to_dim(_fold(total, level, nbytes), profile.group_order, level)
+    return _vector_to_dim(_group_sums(profile, space)[0], profile.group_order, profile.level)
 
 
 def griffiths_criterion_applies(profile: ActionProfile) -> bool:
@@ -232,8 +254,7 @@ def cyclic_profile(order: int, generator_exps: tuple[int, ...], level: int | Non
         raise DomainError("cyclic group order must be positive")
     level = order if level is None else level
     classes = tuple(
-        ConjClass(1, tuple((k * e) % level for e in generator_exps))
-        for k in range(order)
+        ConjClass(1, tuple([k * e % level for e in generator_exps])) for k in range(order)
     )
     return ActionProfile(order, level, classes)
 
@@ -281,6 +302,14 @@ def dihedral_witness_triple(m: int, a: int, b: int) -> tuple[int, int, int] | No
     return None
 
 
+def dihedral_criterion(m: int, a: int, b: int) -> tuple[int, tuple[int, int, int] | None]:
+    """Genus of the cover and its witness triple, None when the criterion holds."""
+    genus = dihedral_genus(m, a, b)
+    if genus < 3:
+        raise DomainError("criterion needs genus >= 3")
+    return genus, dihedral_witness_triple(m, a, b)
+
+
 def dihedral_vanishing(m: int, a: int, b: int) -> bool:
     """True when the exterior cube of V has no dihedral invariants.
 
@@ -289,9 +318,7 @@ def dihedral_vanishing(m: int, a: int, b: int) -> bool:
     full dihedral group exist exactly when they exist under the rotation
     subgroup.
     """
-    if dihedral_genus(m, a, b) < 3:
-        raise DomainError("criterion needs genus >= 3")
-    return dihedral_witness_triple(m, a, b) is None
+    return dihedral_criterion(m, a, b)[1] is None
 
 
 #: Order-3 cover automorphism of y^3 = quartic acting on the three

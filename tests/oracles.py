@@ -105,6 +105,14 @@ def _factorization(n: int) -> dict[int, int]:
     return factors
 
 
+def euler_phi(n: int) -> int:
+    """Euler's totient, from the prime factorization."""
+    phi = n
+    for p in _factorization(n):
+        phi = phi // p * (p - 1)
+    return phi
+
+
 def _divisors(n: int) -> list[int]:
     divs = [1]
     for p, k in _factorization(n).items():
@@ -189,6 +197,11 @@ def wedge3_invariants_bruteforce(exps, level: int) -> int:
 def invariants_bruteforce(exps, level: int) -> int:
     """Count exponents divisible by the level (cyclic invariant dimension)."""
     return sum(1 for e in exps if e % level == 0)
+
+
+def root_of_unity(level: int, exponent: int) -> CycNum:
+    """The primitive level-th root of unity raised to the given exponent."""
+    return CycNum(level, UPoly.x_pow(exponent % level))
 
 
 def char_power(cls: ConjClass, k: int, level: int) -> CycNum:

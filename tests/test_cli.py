@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import json
 
+import pytest
+
+from ceresa_kit import cli
 from ceresa_kit.cli import main
 
 
@@ -232,3 +236,25 @@ def test_json_outputs_are_valid_json(capsys):
     for argv in fixtures:
         payload = run_json(capsys, *argv, "--format", "json")
         assert isinstance(payload, (dict, list))
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_single_command_parser_matches_full_parser(capsys):
+    full = _subparsers(cli.build_parser())
+    assert [row[0] for row in cli._COMMANDS] == list(full)
+    for name, subparser in full.items():
+        assert list(_subparsers(cli.build_parser(name))) == [name]
+        code, out, err = run(capsys, name, "--help")
+        assert code == 0 and err == ""
+        assert out == subparser.format_help()
+    full_parser = cli.build_parser()
+    for argv in (["bogus"], [], ["decide", "-a", "1"]):
+        with pytest.raises(cli.UsageError) as expected:
+            full_parser.parse_args(argv)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"usage error: {expected.value}\n" + full_parser.format_usage()

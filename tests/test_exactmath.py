@@ -11,16 +11,14 @@ from ceresa_kit.exactmath import (
     UPoly,
     cyc_to_rational,
     cyclotomic_polynomial,
-    euler_phi,
     monic_divmod,
     poly_discriminant,
     rat,
     rat_str,
     rational_nth_root,
     resultant,
-    root_of_unity,
 )
-from oracles import random_rational
+from oracles import euler_phi, random_rational, root_of_unity
 
 
 def quartic_poly(a, b, c) -> UPoly:

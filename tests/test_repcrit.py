@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ceresa_kit.errors import DomainError, ProfileError
 from ceresa_kit.exactmath import UPoly, cyc_to_rational
@@ -90,6 +90,10 @@ def test_chow_criterion_pieces_on_picard_profile():
     trivial = cyclic_profile(1, (0, 0, 0))
     assert dim_inv_wedge3(trivial, "H1") == 20  # C(6, 3)
     assert invariant_dim(trivial, "H1") == 6
+    wide = cyclic_profile(1, (0,) * 300)  # counts above one byte
+    assert invariant_dim(wide, "V") == 300 and invariant_dim(wide, "H1") == 600
+    assert dim_inv_wedge3(wide, "V") == math.comb(300, 3)
+    assert dim_inv_wedge3(wide, "H1") == math.comb(600, 3)
 
 
 def test_c9_preset_exponents():
@@ -209,7 +213,7 @@ def test_preset_names():
 @st.composite
 def cyclic_profiles(draw):
     order = draw(st.integers(1, 40))
-    gen = draw(st.lists(st.integers(0, order - 1), min_size=3, max_size=8))
+    gen = draw(st.lists(st.integers(0, order - 1), min_size=1, max_size=8))
     return cyclic_profile(order, tuple(gen))
 
 
@@ -288,12 +292,18 @@ def _assert_same_outcome(kernel, reference, profile, space):
 
 def _assert_kernel_matches_cyclotomic_reference(profile):
     for space in ("V", "H1"):
-        _assert_same_outcome(dim_inv_wedge3, wedge3_dim_cyclotomic, profile, space)
+        if profile.dim < 3:
+            with pytest.raises(DomainError):
+                dim_inv_wedge3(profile, space)
+        else:
+            _assert_same_outcome(dim_inv_wedge3, wedge3_dim_cyclotomic, profile, space)
         _assert_same_outcome(invariant_dim, invariant_dim_cyclotomic, profile, space)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(cyclic_profiles())
+@example(cyclic_profile(4, (0,)))
+@example(cyclic_profile(6, (3, 0)))
 def test_kernel_matches_cyclotomic_reference_on_cyclic_profiles(profile):
     _assert_kernel_matches_cyclotomic_reference(profile)
 
