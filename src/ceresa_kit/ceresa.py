@@ -18,9 +18,7 @@ same torsion verdict.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
@@ -39,10 +37,13 @@ class PicardCurve:
     """A quartic with nonzero discriminant, i.e. a smooth curve y^3 = f(x)."""
 
     quartic: DepressedQuartic
+    invariants: QuarticInvariants = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if invariants(self.quartic).disc == 0:
+        inv = invariants(self.quartic)
+        if inv.disc == 0:
             raise DomainError(f"singular quartic (disc = 0): {self.quartic}")
+        object.__setattr__(self, "invariants", inv)
 
     @classmethod
     def from_coefficients(cls, a: RatLike, b: RatLike, c: RatLike) -> PicardCurve:
@@ -98,7 +99,7 @@ class PicardPoint:
 
 def picard_invariant_point(curve: PicardCurve) -> PicardPoint:
     """Build (I, J) on y^2 = 4x^3 - 27*disc and its short-model image."""
-    inv = invariants(curve.quartic)
+    inv = curve.invariants
     d = -27 * inv.disc
     short, model_map = elliptic.from_doubled_model(d)
     p_doubled = elliptic.affine(inv.I, inv.J)
@@ -198,8 +199,6 @@ VERDICT_SKIPPED = "skipped"
 
 SCAN_CSV_HEADER = "a,b,c,I,J,disc,verdict,point_order"
 
-THREADS_ENV_VAR = "CERESA_KIT_THREADS"
-
 
 @dataclass(frozen=True)
 class ScanRecord:
@@ -217,53 +216,34 @@ class ScanRecord:
         return f"{self.a},{self.b},{self.c},{self.I},{self.J},{self.disc},{self.verdict},{order}"
 
 
-def _scan_one(coeffs: tuple[Fraction, Fraction, Fraction]) -> ScanRecord:
-    a, b, c = coeffs
-    inv = invariants(DepressedQuartic(a, b, c))
-    if inv.disc == 0:
+def _scan_one(a: Fraction, b: Fraction, c: Fraction) -> ScanRecord:
+    quartic = DepressedQuartic(a, b, c)
+    try:
+        curve = PicardCurve(quartic)
+    except DomainError:
+        inv = invariants(quartic)
         return ScanRecord(a, b, c, inv.I, inv.J, inv.disc, VERDICT_SKIPPED, None)
-    short, model_map = elliptic.from_doubled_model(-27 * inv.disc)
-    point = model_map.apply(elliptic.affine(inv.I, inv.J))
-    order = elliptic.torsion_order_q(short, point)
-    verdict = VERDICT_TORSION if order is not None else VERDICT_NON_TORSION
-    return ScanRecord(a, b, c, inv.I, inv.J, inv.disc, verdict, order)
-
-
-def effective_thread_count(requested: int | None = None) -> int:
-    """Requested worker count capped by the CERESA_KIT_THREADS variable."""
-    cap = os.environ.get(THREADS_ENV_VAR)
-    threads = requested if requested is not None else 1
-    if cap is not None:
-        try:
-            threads = min(threads, max(1, int(cap)))
-        except ValueError:
-            raise DomainError(f"{THREADS_ENV_VAR} must be an integer, got {cap!r}")
-    return max(1, threads)
+    verdict = decide(curve)
+    inv, order = verdict.invariants, verdict.chow.point_order
+    label = VERDICT_TORSION if verdict.chow.torsion else VERDICT_NON_TORSION
+    return ScanRecord(a, b, c, inv.I, inv.J, inv.disc, label, order)
 
 
 def scan(
     a_values: Sequence[RatLike],
     b_values: Sequence[RatLike],
     c_values: Sequence[RatLike],
-    threads: int | None = None,
 ) -> list[ScanRecord]:
     """Decide every grid point, in lexicographic (a, b, c) grid order.
 
-    Points with vanishing discriminant are recorded as skipped.  Grid points
-    may be evaluated by a worker pool, but the output order is always the
-    deterministic grid order, independent of the thread count.
+    Points with vanishing discriminant are recorded as skipped.
     """
     grid_a = [rat(v) for v in a_values]
     grid_b = [rat(v) for v in b_values]
     grid_c = [rat(v) for v in c_values]
     if not (grid_a and grid_b and grid_c):
         raise DomainError("empty scan grid")
-    points = list(product(grid_a, grid_b, grid_c))
-    threads = effective_thread_count(threads)
-    if threads == 1:
-        return [_scan_one(p) for p in points]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_scan_one, points))
+    return [_scan_one(a, b, c) for a, b, c in product(grid_a, grid_b, grid_c)]
 
 
 def scan_csv_lines(records: Iterable[ScanRecord]) -> list[str]:

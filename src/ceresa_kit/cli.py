@@ -123,7 +123,7 @@ def _cmd_torsion(args) -> int:
 
 def _cmd_family(args) -> int:
     curve = ceresa.family_generate(args.I, args.J, args.t)
-    inv = invariants(curve.quartic)
+    inv = curve.invariants
     if args.format == "json":
         _print_json({"curve": curve.quartic.to_json(), **inv.to_json()})
     else:
@@ -268,7 +268,6 @@ def _cmd_scan(args) -> int:
         _parse_values(args.a_range),
         _parse_values(args.b_range),
         _parse_values(args.c_range),
-        threads=args.threads,
     )
     payload = "\n".join(ceresa.scan_csv_lines(records)) + "\n"
     if args.out:
@@ -322,7 +321,9 @@ _COMMANDS = (
         _arg("--b-range", required=True, dest="b_range"),
         _arg("--c-range", required=True, dest="c_range"),
         _arg("--out", default=None),
-        _arg("--threads", type=int, default=None),
+        _arg("--threads", type=int, default=None,
+             help="accepted and ignored: scan runs in one thread, and its "
+                  "output is the same for every value"),
     )),
 )
 _COMMAND_NAMES = frozenset(row[0] for row in _COMMANDS)

@@ -227,10 +227,6 @@ class Isogeny3:
     source: WeierstrassCurve
     target: WeierstrassCurve
 
-    @property
-    def degree(self) -> int:
-        return 3
-
     def apply(self, p: ECPoint) -> ECPoint:
         _require_on_curve(self.source, p)
         if p.is_infinity or p.x == 0:

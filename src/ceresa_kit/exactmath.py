@@ -295,18 +295,6 @@ def poly_discriminant(p: UPoly) -> Fraction:
     return sign * resultant(p, p.derivative()) / p.lc()
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
-
-
 def monic_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     """Quotient and remainder of integer polynomials by a monic divisor.
 
@@ -330,24 +318,37 @@ def monic_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     return quot, rem[:deg]
 
 
+def _stretch(coeffs: list[int], k: int) -> list[int]:
+    # p(x) -> p(x^k) on coefficient lists
+    out = [0] * ((len(coeffs) - 1) * k + 1)
+    out[::k] = coeffs
+    return out
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(level: int) -> UPoly:
     """The cyclotomic polynomial of the given level.
 
-    Computed by dividing x^L - 1 by the product of the lower-level
-    cyclotomic polynomials at the proper divisors of L, in integer
-    arithmetic (every cyclotomic polynomial is monic with integer
-    coefficients).
+    Starting from Phi_1 = x - 1, each prime p dividing L is adjoined by
+    Phi_np(x) = Phi_n(x^p) / Phi_n(x), valid when p does not divide n: one
+    exact division per distinct prime, in integer arithmetic (every
+    cyclotomic polynomial is monic with integer coefficients).  That gives
+    Phi_rad for the radical rad of L, and Phi_L(x) = Phi_rad(x^(L/rad)).
     """
     if level < 1:
         raise DomainError("cyclotomic level must be positive")
-    num = [-1] + [0] * (level - 1) + [1]
-    for d in _divisors(level):
-        if d == level:
-            continue
-        num, rem = monic_divmod(num, [int(c) for c in cyclotomic_polynomial(d).coeffs])
-        assert not any(rem)
-    return UPoly(num)
+    phi, rad, rest, p = [-1, 1], 1, level, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # what is left is prime
+        if rest % p == 0:
+            phi, rem = monic_divmod(_stretch(phi, p), phi)
+            assert not any(rem)
+            rad *= p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return UPoly(_stretch(phi, level // rad))
 
 
 @dataclass(frozen=True, eq=False)

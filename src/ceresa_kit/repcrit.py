@@ -102,13 +102,21 @@ class ActionProfile:
         }
 
 
+def _json_int(value) -> int:
+    # JSON integers only: int() would truncate 1.9 and accept true or "3".
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def profile_from_json(data: dict) -> ActionProfile:
     try:
         classes = tuple(
-            ConjClass(int(cls["size"]), tuple(int(e) for e in cls["exps"]))
+            ConjClass(_json_int(cls["size"]), tuple(_json_int(e) for e in cls["exps"]))
             for cls in data["classes"]
         )
-        return ActionProfile(int(data["group_order"]), int(data["level"]), classes)
+        order, level = _json_int(data["group_order"]), _json_int(data["level"])
+        return ActionProfile(order, level, classes)
     except (KeyError, TypeError, ValueError) as exc:
         raise ProfileError(f"malformed profile JSON: {exc}") from exc
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -218,14 +219,32 @@ def test_scan_examples():
         scan([], [1], [1])
 
 
-def test_scan_order_is_lexicographic_and_thread_independent():
+def test_scan_order_is_lexicographic():
     grid = ([-1, 0, 1], [0, 1], [-1, 1])
     base = scan(*grid)
     coords = [(r.a, r.b, r.c) for r in base]
     assert coords == sorted(coords)
-    for threads in (2, 4, 8):
-        assert scan(*grid, threads=threads) == base
     assert scan_csv_lines(base)[0] == "a,b,c,I,J,disc,verdict,point_order"
+
+
+def test_decide_and_scan_evaluate_invariants_once(monkeypatch):
+    calls = Counter()
+
+    def counted(quartic):
+        calls[quartic.coefficients()] += 1
+        return invariants(quartic)
+
+    monkeypatch.setattr("ceresa_kit.ceresa.invariants", counted)
+    decide(PicardCurve.from_coefficients(1, 0, 1))
+    assert calls == {(1, 0, 1): 1}
+
+    calls.clear()
+    records = scan([-12, 0, 1], [0, 1], [-12, 0, 1])
+    assert {r.verdict for r in records} == {VERDICT_TORSION, VERDICT_NON_TORSION,
+                                            VERDICT_SKIPPED}
+    for r in records:
+        evaluations = calls[(r.a, r.b, r.c)]
+        assert evaluations <= 2 if r.verdict == VERDICT_SKIPPED else evaluations == 1
 
 
 def test_decide_agrees_with_torsion_enumeration():

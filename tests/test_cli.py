@@ -115,6 +115,12 @@ def test_repcrit_preset_and_file(capsys, tmp_path):
     code, _, err = run(capsys, "repcrit", "--profile", "missing.json")
     assert code == 2
 
+    truncated = json.loads(profile_file.read_text())
+    truncated["classes"][1]["exps"] = [1.9, 1.2, 2]  # not int(1.9) == 1
+    profile_file.write_text(json.dumps(truncated))
+    code, out, err = run(capsys, "repcrit", "--profile", str(profile_file))
+    assert code == 2 and out == "" and "malformed profile JSON" in err
+
 
 def test_repcrit_dihedral_preset(capsys):
     payload = run_json(capsys, "repcrit", "--profile", "dihedral:5,1,2",
@@ -173,18 +179,6 @@ def test_scan_byte_identical_across_thread_counts(capsys, tmp_path):
         assert code == 0
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
-
-
-def test_scan_thread_env_cap(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("CERESA_KIT_THREADS", "2")
-    path = tmp_path / "scan.csv"
-    code, _, _ = run(capsys, "scan", "--a-range", "0:1", "--b-range", "0:1",
-                     "--c-range", "0:1", "--threads", "8", "--out", str(path))
-    assert code == 0
-    monkeypatch.delenv("CERESA_KIT_THREADS")
-    code, out, _ = run(capsys, "scan", "--a-range", "0:1", "--b-range", "0:1",
-                       "--c-range", "0:1")
-    assert path.read_text() == out
 
 
 def test_scan_rational_ranges(capsys):

@@ -200,6 +200,15 @@ def test_profile_json_round_trip():
     assert profile_from_json(profile.to_json()) == profile
     with pytest.raises(ProfileError):
         profile_from_json({"group_order": 3, "classes": []})
+    # Only JSON integers: int() would read 1.9 as 1 and true as 1.
+    data = profile.to_json()
+    for key, value in (("group_order", 3.0), ("level", "3"), ("level", True)):
+        with pytest.raises(ProfileError):
+            profile_from_json({**data, key: value})
+    for cls in ({"size": True, "exps": [1, 1, 2]}, {"size": 1, "exps": [1.9, 1.2, 2]},
+                {"size": 1.0, "exps": [1, 1, 2]}, {"size": 1, "exps": [1, 1, "2"]}):
+        with pytest.raises(ProfileError):
+            profile_from_json({**data, "classes": [data["classes"][0], cls, data["classes"][2]]})
 
 
 def test_preset_names():
