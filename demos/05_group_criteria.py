@@ -43,7 +43,7 @@ for m, a, b in [(5, 1, 2), (6, 1, 2), (7, 1, 2), (9, 1, 3), (12, 3, 4), (15, 3, 
     genus = dihedral_genus(m, a, b)
     ok = dihedral_vanishing(m, a, b)
     witness = dihedral_witness_triple(m, a, b)
-    spectrum = dihedral_profile(m, a, b).classes[1].exps
+    spectrum = dihedral_profile(m, a, b).generator
     detail = "holds" if ok else f"fails (triple {'+'.join(map(str, witness))})"
     print(f"  (m, a, b) = ({m}, {a}, {b}): genus {genus}, spectrum {spectrum}")
     print(f"    criterion {detail}")

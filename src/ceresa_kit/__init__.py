@@ -57,6 +57,7 @@ from .ceresa import (
 from .repcrit import (
     ActionProfile,
     ConjClass,
+    CyclicProfile,
     chow_criterion_applies,
     cyclic_profile,
     dihedral_genus,

@@ -154,7 +154,7 @@ def _cmd_bielliptic(args) -> int:
     return 0
 
 
-def _load_profile(source: str) -> repcrit.ActionProfile:
+def _load_profile(source: str) -> repcrit.Profile:
     if source in repcrit.PRESET_NAMES or source.startswith("dihedral:"):
         return repcrit.preset_profile(source)
     try:

@@ -5,7 +5,9 @@ curve is described by an :class:`ActionProfile`: one entry per conjugacy
 class, carrying the class size and the eigenvalue exponents of a class
 representative (all eigenvalues are roots of unity of a common level L).
 This is enough to evaluate characters of any power of a class element,
-since the eigenvalues of h^k are the k-th powers of those of h.
+since the eigenvalues of h^k are the k-th powers of those of h.  A cyclic
+group is fixed by its generator: a :class:`CyclicProfile` holds the order n
+and the generator's exponents (level n) and is evaluated from them alone.
 
 Two vanishing criteria are evaluated from a profile:
 
@@ -24,8 +26,12 @@ arithmetic: a character value is an integer vector v with sum v[i] zeta^i,
 packed into one Python int by Kronecker substitution (digit i, a fixed
 number of bytes wide, holds v[i]), so products of characters are products
 of ints.
-The group sums are folded mod x^L - 1 and reduced mod the L-th cyclotomic
-polynomial; the average is rational exactly when the remainder is constant.
+The class sums of an ActionProfile are folded mod x^L - 1 and reduced mod
+the L-th cyclotomic polynomial; the average is rational exactly when the
+remainder is constant.  Over a cyclic group the sum of zeta^(jk) over the
+elements g^k is n or 0, so each group sum is n times one constant term of
+a product of the generator's packed count vectors: three packs and one cube
+per space, where the class sums would pack and cube n classes.
 An irrational, non-integral or negative average proves the input was not a
 genuine group action and raises :class:`ProfileError`.
 
@@ -41,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .errors import DomainError, ProfileError
@@ -78,15 +84,11 @@ class ActionProfile:
             raise ProfileError("class sizes do not sum to the group order")
         if not any(all(e % self.level == 0 for e in cls.exps) for cls in self.classes):
             raise ProfileError("identity class (all exponents 0) is missing")
-        # Reduce exponents mod the level, unless every one is reduced already
-        # (cyclic_profile builds reduced classes).
-        if any(cls.exps and (min(cls.exps) < 0 or max(cls.exps) >= self.level)
-               for cls in self.classes):
-            normalized = tuple(
-                ConjClass(cls.size, tuple(e % self.level for e in cls.exps))
-                for cls in self.classes
-            )
-            object.__setattr__(self, "classes", normalized)
+        normalized = tuple(
+            ConjClass(cls.size, tuple([e % self.level for e in cls.exps]))
+            for cls in self.classes
+        )
+        object.__setattr__(self, "classes", normalized)
 
     @property
     def dim(self) -> int:
@@ -100,6 +102,46 @@ class ActionProfile:
                 {"size": cls.size, "exps": list(cls.exps)} for cls in self.classes
             ],
         }
+
+
+@dataclass(frozen=True)
+class CyclicProfile:
+    """A cyclic group of order n acting on V, fixed by its generator.
+
+    ``generator`` holds the generator's eigenvalue exponents, reduced mod n
+    on construction; the level is n.  The kernel reads the generator alone.
+    ``classes`` lists the n elements g^k as an :class:`ActionProfile` does,
+    built only when read.
+    """
+
+    group_order: int
+    generator: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.group_order < 1:
+            raise DomainError("cyclic group order must be positive")
+        n = self.group_order
+        object.__setattr__(self, "generator", tuple([e % n for e in self.generator]))
+
+    @property
+    def level(self) -> int:
+        return self.group_order
+
+    @property
+    def dim(self) -> int:
+        return len(self.generator)
+
+    @cached_property
+    def classes(self) -> tuple[ConjClass, ...]:
+        n = self.group_order
+        return tuple(
+            ConjClass(1, tuple([k * e % n for e in self.generator])) for k in range(n)
+        )
+
+    to_json = ActionProfile.to_json
+
+
+Profile = ActionProfile | CyclicProfile
 
 
 def _json_int(value) -> int:
@@ -121,27 +163,14 @@ def profile_from_json(data: dict) -> ActionProfile:
         raise ProfileError(f"malformed profile JSON: {exc}") from exc
 
 
-def _h1_exps(exps: tuple[int, ...], level: int) -> tuple[int, ...]:
-    # H^1 carries each eigenvalue together with its conjugate.
-    return exps + tuple([-e % level for e in exps])
-
-
-def _space_exps(profile: ActionProfile, space: str) -> list[tuple[int, ...]]:
-    if space not in ("V", "H1"):
-        raise DomainError(f"unknown space {space!r}; expected 'V' or 'H1'")
-    if space == "V":
-        return [cls.exps for cls in profile.classes]
-    return [_h1_exps(cls.exps, profile.level) for cls in profile.classes]
-
-
-def _digit_bytes(profile: ActionProfile, d: int) -> int:
+def _digit_bytes(profile: Profile, d: int) -> int:
     # A class contributes at most d^3 to any digit of chi^3 (and less to
     # chi*chi2 and chi3), so no digit of a group sum exceeds group_order * d^3;
     # one spare bit, rounded up to whole bytes, keeps digits from carrying.
     return ((profile.group_order * d**3).bit_length() + 8) // 8
 
 
-def _pack(exps: tuple[int, ...], level: int, nbytes: int) -> int:
+def _pack(exps: Sequence[int], level: int, nbytes: int) -> int:
     # Kronecker substitution of the count vector of exps (reduced mod the
     # level): digit i, nbytes wide, holds how many exponents equal i.  No
     # count exceeds len(exps), so only its low bytes are written, one byte
@@ -184,37 +213,41 @@ def _vector_to_dim(total: Sequence[int], scale: int, level: int) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _group_sums(profile: ActionProfile, space: str) -> tuple[tuple[int, ...], ...]:
-    """Sums of size * chi, chi^3, chi * chi2 and chi3 over the classes, folded.
+def _group_sums(profile: Profile, space: str) -> tuple[tuple[int, ...], ...]:
+    """Sums of chi, chi^3, chi * chi2 and chi3 over the group, folded.
 
-    chi is the character of V or H^1 on a class representative h, chi2 and
-    chi3 its values on h^2 and h^3.  The count vector of h^k is looked up
-    by its exponent tuple, so each distinct vector is packed once: in a
-    cyclic profile the powers of a class are other classes.
+    chi is the character of V or H^1 on a group element h, chi2 and chi3
+    its values on h^2 and h^3.  An ActionProfile sums size * value over its
+    classes.  Over a cyclic group of order n, chi(g^k) = P(zeta^k) for the
+    generator's packed count vector P, and the sum of zeta^(jk) over k is n
+    when n divides j and 0 otherwise: each sum is n times the constant term
+    of P, P^3, P * P(x^2) or P(x^3) folded mod x^n - 1, returned as a vector
+    of length one.
     """
-    spaces = _space_exps(profile, space)
+    if space not in ("V", "H1"):
+        raise DomainError(f"unknown space {space!r}; expected 'V' or 'H1'")
     level = profile.level
-    nbytes = _digit_bytes(profile, len(spaces[0]))
-    packed = {}
+    nbytes = _digit_bytes(profile, profile.dim if space == "V" else 2 * profile.dim)
 
-    def pack(exps):
-        value = packed.get(exps)
-        if value is None:
-            value = packed[exps] = _pack(exps, level, nbytes)
-        return value
+    def characters(exps):
+        if space == "H1":  # each eigenvalue of V together with its conjugate
+            exps = exps + tuple([-e % level for e in exps])
+        c1 = _pack(exps, level, nbytes)
+        c2 = _pack([2 * e % level for e in exps], level, nbytes)
+        return c1, c1 * c1 * c1, c1 * c2, _pack([3 * e % level for e in exps], level, nbytes)
 
-    single = cube = cross = triple = 0
-    for cls, exps in zip(profile.classes, spaces):
-        c1 = pack(exps)
-        single += cls.size * c1
-        cube += cls.size * c1 * c1 * c1
-        cross += cls.size * c1 * pack(tuple([2 * e % level for e in exps]))
-        triple += cls.size * pack(tuple([3 * e % level for e in exps]))
-    return tuple(_fold(total, level, nbytes) for total in (single, cube, cross, triple))
+    if isinstance(profile, CyclicProfile):
+        return tuple((level * _fold(total, level, nbytes)[0],)
+                     for total in characters(profile.generator))
+    sums = [0, 0, 0, 0]
+    for cls in profile.classes:
+        for i, value in enumerate(characters(cls.exps)):
+            sums[i] += cls.size * value
+    return tuple(_fold(total, level, nbytes) for total in sums)
 
 
 @lru_cache(maxsize=4096)
-def dim_inv_wedge3(profile: ActionProfile, space: str = "V") -> int:
+def dim_inv_wedge3(profile: Profile, space: str = "V") -> int:
     """Dimension of the group invariants of the exterior cube of V or of H^1."""
     if profile.dim < 3:
         raise DomainError("exterior cube needs dim V >= 3")
@@ -224,12 +257,12 @@ def dim_inv_wedge3(profile: ActionProfile, space: str = "V") -> int:
     return _vector_to_dim(total, 6 * profile.group_order, profile.level)
 
 
-def invariant_dim(profile: ActionProfile, space: str = "V") -> int:
+def invariant_dim(profile: Profile, space: str = "V") -> int:
     """Dimension of the group invariants of V or of H^1 = V + conjugate(V)."""
     return _vector_to_dim(_group_sums(profile, space)[0], profile.group_order, profile.level)
 
 
-def griffiths_criterion_applies(profile: ActionProfile) -> bool:
+def griffiths_criterion_applies(profile: Profile) -> bool:
     """True when the invariants of the exterior cube of V vanish.
 
     A true result means the Ceresa class of any curve realizing the profile
@@ -239,7 +272,7 @@ def griffiths_criterion_applies(profile: ActionProfile) -> bool:
     return dim_inv_wedge3(profile, "V") == 0
 
 
-def chow_criterion_applies(profile: ActionProfile) -> bool:
+def chow_criterion_applies(profile: Profile) -> bool:
     """True when the invariants of the primitive degree-3 cohomology vanish.
 
     Computed as dim (wedge^3 H^1)^G - dim (H^1)^G; the difference is exact
@@ -256,15 +289,9 @@ def chow_criterion_applies(profile: ActionProfile) -> bool:
     return d3 == d1
 
 
-def cyclic_profile(order: int, generator_exps: tuple[int, ...], level: int | None = None) -> ActionProfile:
-    """Profile of a cyclic group from its generator's eigenvalue exponents."""
-    if order < 1:
-        raise DomainError("cyclic group order must be positive")
-    level = order if level is None else level
-    classes = tuple(
-        ConjClass(1, tuple([k * e % level for e in generator_exps])) for k in range(order)
-    )
-    return ActionProfile(order, level, classes)
+def cyclic_profile(order: int, generator_exps: Sequence[int]) -> CyclicProfile:
+    """Profile of a cyclic group from its generator's exponents, read mod the order."""
+    return CyclicProfile(order, tuple(generator_exps))
 
 
 def _check_dihedral_params(m: int, a: int, b: int) -> None:
@@ -285,7 +312,7 @@ def _epsilon_spectrum(m: int, a: int, b: int) -> list[int]:
     return [n for n in range(1, m) if (n * a) % m != 0 and (n * b) % m != 0]
 
 
-def dihedral_profile(m: int, a: int, b: int) -> ActionProfile:
+def dihedral_profile(m: int, a: int, b: int) -> CyclicProfile:
     """Eigencharacter profile of the rotation subgroup of order m.
 
     The k-th power of the rotation acts with exponent multiset
@@ -341,7 +368,7 @@ PRESET_KLEIN_C7 = "klein_c7"
 PRESET_NAMES = (PRESET_PICARD_C3, PRESET_C9, PRESET_KLEIN_C7)
 
 
-def preset_profile(name: str) -> ActionProfile:
+def preset_profile(name: str) -> CyclicProfile:
     """Built-in profiles, plus "dihedral:m,a,b" for the cover families."""
     if name == PRESET_PICARD_C3:
         return cyclic_profile(3, (1, 1, 2))

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ceresa_kit import cli
+from ceresa_kit import cli, repcrit
 from ceresa_kit.cli import main
 
 
@@ -126,6 +126,24 @@ def test_repcrit_dihedral_preset(capsys):
     payload = run_json(capsys, "repcrit", "--profile", "dihedral:5,1,2",
                        "--format", "json")
     assert payload["dim_v"] == 4 and payload["criterion_b"] is True
+
+
+def test_repcrit_cyclic_presets_never_list_classes(capsys, monkeypatch):
+    # Cyclic profiles are evaluated from their generator: the n classes are
+    # never built on the CLI path.
+    built, original = [], repcrit.preset_profile
+
+    def preset_profile(name):
+        built.append(original(name))
+        return built[-1]
+
+    monkeypatch.setattr(repcrit, "preset_profile", preset_profile)
+    for name in (*repcrit.PRESET_NAMES, "dihedral:61,1,3"):
+        payload = run_json(capsys, "repcrit", "--profile", name, "--format", "json")
+        assert "classes" not in vars(built[-1])
+        assert payload["dim_v"] == built[-1].dim
+        assert {"criterion_a", "criterion_b", "prim3_invariants"} <= payload.keys()
+    assert len(built) == 4
 
 
 def test_dihedral_text_output(capsys):

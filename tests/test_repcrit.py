@@ -119,7 +119,7 @@ def test_cyclic_invariants_match_bruteforce_randomized():
     for _ in range(100):
         order = rng.randint(3, 15)
         dim = rng.randint(3, 12)
-        gen = tuple(rng.randrange(order) for _ in range(dim))
+        gen = tuple(rng.randrange(-2 * order, 2 * order) for _ in range(dim))
         profile = cyclic_profile(order, gen)
         assert dim_inv_wedge3(profile, "V") == wedge3_invariants_bruteforce(gen, order)
         assert invariant_dim(profile, "V") == invariants_bruteforce(gen, order)
@@ -197,7 +197,8 @@ def test_dihedral_vanishing_agrees_with_invariant_dimension_up_to_40():
 
 def test_profile_json_round_trip():
     profile = preset_profile("picard_c3")
-    assert profile_from_json(profile.to_json()) == profile
+    classes = ActionProfile(profile.group_order, profile.level, profile.classes)
+    assert profile_from_json(profile.to_json()) == classes
     with pytest.raises(ProfileError):
         profile_from_json({"group_order": 3, "classes": []})
     # Only JSON integers: int() would read 1.9 as 1 and true as 1.
@@ -315,6 +316,15 @@ def _assert_kernel_matches_cyclotomic_reference(profile):
 @example(cyclic_profile(6, (3, 0)))
 def test_kernel_matches_cyclotomic_reference_on_cyclic_profiles(profile):
     _assert_kernel_matches_cyclotomic_reference(profile)
+    # The generator path against the class sums over the same elements.
+    classes = ActionProfile(profile.group_order, profile.level, profile.classes)
+    for space in ("V", "H1"):
+        assert invariant_dim(profile, space) == invariant_dim(classes, space)
+        if profile.dim < 3:
+            with pytest.raises(DomainError):
+                dim_inv_wedge3(classes, space)
+        else:
+            assert dim_inv_wedge3(profile, space) == dim_inv_wedge3(classes, space)
 
 
 @settings(max_examples=40, deadline=None)
