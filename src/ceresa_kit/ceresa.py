@@ -18,31 +18,37 @@ same torsion verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
 
 from . import elliptic
 from .elliptic import ECPoint, WeierstrassCurve
 from .errors import DomainError
 from .exactmath import RatLike, rat
 from .quartic import DepressedQuartic, QuarticInvariants, invariants
+from .value import Value
 
 E0_DOUBLED_D = Fraction(-27)  # y^2 = 4x^3 - 27, the disc = 1 fiber
 
 
-@dataclass(frozen=True)
-class PicardCurve:
-    """A quartic with nonzero discriminant, i.e. a smooth curve y^3 = f(x)."""
+class PicardCurve(Value):
+    """A quartic with nonzero discriminant, i.e. a smooth curve y^3 = f(x).
 
+    ``invariants`` is computed on construction; it takes no part in
+    equality, hashing or repr.
+    """
+
+    __slots__ = ("quartic", "invariants")
+    _fields = ("quartic",)
     quartic: DepressedQuartic
-    invariants: QuarticInvariants = field(init=False, repr=False, compare=False)
+    invariants: QuarticInvariants
 
-    def __post_init__(self):
-        inv = invariants(self.quartic)
+    def __init__(self, quartic: DepressedQuartic):
+        super().__init__(quartic)
+        inv = invariants(quartic)
         if inv.disc == 0:
-            raise DomainError(f"singular quartic (disc = 0): {self.quartic}")
+            raise DomainError(f"singular quartic (disc = 0): {quartic}")
         object.__setattr__(self, "invariants", inv)
 
     @classmethod
@@ -50,15 +56,16 @@ class PicardCurve:
         return cls(DepressedQuartic(a, b, c))
 
 
-@dataclass(frozen=True)
-class ChowVerdict:
+class ChowVerdict(Value):
     """Torsion with the exact order of the invariant point, or non-torsion."""
 
+    __slots__ = _fields = ("torsion", "point_order")
     torsion: bool
     point_order: int | None
 
-    def __post_init__(self):
-        assert self.torsion == (self.point_order is not None)
+    def __init__(self, torsion: bool, point_order: int | None):
+        super().__init__(torsion, point_order)
+        assert torsion == (point_order is not None)
 
     def to_json(self) -> dict:
         out: dict = {"torsion": self.torsion}
@@ -70,8 +77,7 @@ class ChowVerdict:
 GRIFFITHS_TORSION = "torsion"
 
 
-@dataclass(frozen=True)
-class CeresaVerdict:
+class CeresaVerdict(Value):
     """Decision record for one Picard curve.
 
     ``chow.point_order`` is the order of the invariant point, which matches
@@ -80,16 +86,19 @@ class CeresaVerdict:
     ``griffiths`` is constant: every Picard curve is torsion there.
     """
 
+    __slots__ = _fields = ("chow", "griffiths", "invariants", "point")
     chow: ChowVerdict
     griffiths: str
     invariants: QuarticInvariants
     point: ECPoint  # invariant point on the short model y^2 = x^3 - 432*disc
 
 
-@dataclass(frozen=True)
-class PicardPoint:
+class PicardPoint(Value):
     """The invariant point of a Picard curve in both curve models."""
 
+    __slots__ = _fields = (
+        "invariants", "doubled_d", "short_curve", "point_doubled", "point_short"
+    )
     invariants: QuarticInvariants
     doubled_d: Fraction  # the D of y^2 = 4x^3 + D, namely -27*disc
     short_curve: WeierstrassCurve  # y^2 = x^3 - 432*disc
@@ -200,8 +209,8 @@ VERDICT_SKIPPED = "skipped"
 SCAN_CSV_HEADER = "a,b,c,I,J,disc,verdict,point_order"
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(Value):
+    __slots__ = _fields = ("a", "b", "c", "I", "J", "disc", "verdict", "point_order")
     a: Fraction
     b: Fraction
     c: Fraction

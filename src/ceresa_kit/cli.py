@@ -10,8 +10,8 @@ from fractions import Fraction
 from . import ceresa, repcrit, strata
 from .ceresa import PicardCurve
 from .elliptic import WeierstrassCurve, affine, torsion_order_q
-from .errors import DomainError
-from .exactmath import rat
+from .errors import DomainError, quoted
+from .exactmath import MAX_LITERAL_CHARS, MAX_LITERAL_VALUE, rat
 from .quartic import DepressedQuartic, invariants
 
 
@@ -50,11 +50,15 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 
 def _parse_values(text: str) -> list[Fraction]:
-    """Grid values: "lo:hi[:step]" (inclusive) or a comma-separated list."""
+    """Grid values: "lo:hi[:step]" (inclusive) or a comma-separated list.
+
+    A range value, like a literal, must have numerator and denominator
+    below 10^MAX_LITERAL_CHARS, so that every scan row can be printed.
+    """
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (2, 3):
-            raise DomainError(f"bad range {text!r}; expected lo:hi[:step]")
+            raise DomainError(f"bad range {quoted(text)}; expected lo:hi[:step]")
         lo, hi = rat(parts[0]), rat(parts[1])
         step = rat(parts[2]) if len(parts) == 3 else Fraction(1)
         if step == 0:
@@ -62,6 +66,11 @@ def _parse_values(text: str) -> list[Fraction]:
         values = []
         v = lo
         while (step > 0 and v <= hi) or (step < 0 and v >= hi):
+            if max(abs(v.numerator), v.denominator) >= MAX_LITERAL_VALUE:
+                raise DomainError(
+                    f"range {quoted(text)} reaches a value of more than "
+                    f"{MAX_LITERAL_CHARS} digits"
+                )
             values.append(v)
             v += step
         return values
@@ -162,7 +171,7 @@ def _load_profile(source: str) -> repcrit.Profile:
             data = json.load(handle)
     except OSError as exc:
         raise DomainError(f"no such preset or profile file: {source!r}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise DomainError(f"invalid profile JSON in {source!r}: {exc}") from exc
     return repcrit.profile_from_json(data)
 

@@ -16,19 +16,19 @@ Beyond the group law, this module provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
 from .exactmath import RatLike, rat, rational_nth_root, rational_sqrt
+from .value import Value
 
 MAZUR_BOUND = 12
 
 
-@dataclass(frozen=True)
-class ECPoint:
+class ECPoint(Value):
     """A rational point: affine (x, y) or the point at infinity (x = y = None)."""
 
+    __slots__ = _fields = ("x", "y")
     x: Fraction | None
     y: Fraction | None
 
@@ -57,10 +57,10 @@ def point_sort_key(p: ECPoint):
     return (0, Fraction(0), Fraction(0)) if p.is_infinity else (1, p.x, p.y)
 
 
-@dataclass(frozen=True)
-class WeierstrassCurve:
+class WeierstrassCurve(Value):
     """y^2 = x^3 + A x + B; construction rejects singular models."""
 
+    __slots__ = _fields = ("A", "B")
     A: Fraction
     B: Fraction
 
@@ -68,8 +68,7 @@ class WeierstrassCurve:
         A, B = rat(A), rat(B)
         if 4 * A**3 + 27 * B**2 == 0:
             raise DomainError("singular curve: 4A^3 + 27B^2 = 0")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
+        super().__init__(A, B)
 
     def contains(self, p: ECPoint) -> bool:
         if p.is_infinity:
@@ -142,14 +141,14 @@ def torsion_order_q(e: WeierstrassCurve, p: ECPoint) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class DoubledModelMap:
+class DoubledModelMap(Value):
     """Point correspondence between y^2 = 4x^3 + D and its short model.
 
     ``apply`` sends a point of the source model to y^2 = x^3 + 16D via
     (x, y) -> (4x, 4y); ``unapply`` inverts.
     """
 
+    __slots__ = _fields = ("D", "short")
     D: Fraction
     short: WeierstrassCurve
 
@@ -215,14 +214,14 @@ def rational_torsion_j0(d: RatLike) -> list[ECPoint]:
     return sorted(found, key=point_sort_key)
 
 
-@dataclass(frozen=True)
-class Isogeny3:
+class Isogeny3(Value):
     """Degree-3 isogeny y^2 = x^3 + D -> y^2 = x^3 - 27D, kernel {x = 0}.
 
     phi(x, y) = ((x^3 + 4D)/x^2, y(x^3 - 8D)/x^3); infinity and the kernel
     map to infinity.
     """
 
+    __slots__ = _fields = ("D", "source", "target")
     D: Fraction
     source: WeierstrassCurve
     target: WeierstrassCurve

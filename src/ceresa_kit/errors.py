@@ -11,3 +11,14 @@ class NotRationalError(DomainError):
 
 class ProfileError(DomainError):
     """Eigenvalue data does not describe a genuine finite group action."""
+
+
+def quoted(value, limit: int = 40) -> str:
+    """``repr(value)`` for an error message, with a long string cut short.
+
+    A string longer than ``limit`` characters is cut to its first ``limit``
+    and followed by an ellipsis, so a huge literal cannot flood the message.
+    """
+    if isinstance(value, str) and len(value) > limit:
+        return f"{value[:limit]!r}…"
+    return repr(value)

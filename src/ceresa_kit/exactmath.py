@@ -22,16 +22,27 @@ can be shared freely between threads.  There are no floats anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
 
-from .errors import DomainError, NotRationalError
+from .errors import DomainError, NotRationalError, quoted
+from .value import Value
 
 Rat = Fraction
 
-RatLike = Union[Fraction, int, str]
+RatLike = Fraction | int | str
+
+# Longest string literal ``rat`` accepts.  Such a literal has a numerator
+# and a denominator below 10^L.  The printed quantity of highest degree is
+# disc, of weight 12 in (a, b, c) of weights (2, 3, 4); over the lcm of the
+# denominators (at most a^4, b^4 and c^3) its numerator and denominator have
+# at most about 11 L + 3 digits, which for L = 390 stays under CPython's
+# default limit of 4300 digits on int-to-string conversion.  So every value
+# that `invariants`, `decide` and `scan` print for accepted input can be
+# printed.
+MAX_LITERAL_CHARS = 390
+MAX_LITERAL_VALUE = 10**MAX_LITERAL_CHARS
 
 
 def rat(value: RatLike) -> Fraction:
@@ -39,20 +50,28 @@ def rat(value: RatLike) -> Fraction:
 
     Floats are rejected: this package never rounds.  Exponent notation
     ("1e500000") is rejected too, since it lets a short literal demand an
-    integer of unbounded size.
+    integer of unbounded size, and so is a string longer than
+    ``MAX_LITERAL_CHARS``.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if len(value) > MAX_LITERAL_CHARS:
+            raise DomainError(
+                f"rational literal {quoted(value)} is longer than "
+                f"{MAX_LITERAL_CHARS} characters"
+            )
         if "e" in value or "E" in value:
-            raise DomainError(f"invalid rational literal {value!r}: no exponent notation")
+            raise DomainError(
+                f"invalid rational literal {quoted(value)}: no exponent notation"
+            )
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"invalid rational literal {value!r}") from exc
-    raise DomainError(f"cannot interpret {value!r} as an exact rational")
+            raise DomainError(f"invalid rational literal {quoted(value)}") from exc
+    raise DomainError(f"cannot interpret {quoted(value)} as an exact rational")
 
 
 def rat_str(value: Fraction) -> str:
@@ -107,8 +126,7 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     return rational_nth_root(q, 2)
 
 
-@dataclass(frozen=True)
-class UPoly:
+class UPoly(Value):
     """Dense univariate polynomial over the rationals.
 
     ``coeffs[i]`` is the coefficient of x^i; trailing zeros are trimmed on
@@ -116,13 +134,14 @@ class UPoly:
     polynomial is zero (empty tuple).
     """
 
+    __slots__ = _fields = ("coeffs",)
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
         cs = [rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        super().__init__(tuple(cs))
 
     @classmethod
     def zero(cls) -> UPoly:
@@ -351,22 +370,23 @@ def cyclotomic_polynomial(level: int) -> UPoly:
     return UPoly(_stretch(phi, level // rad))
 
 
-@dataclass(frozen=True, eq=False)
-class CycNum:
+class CycNum(Value):
     """An element of the cyclotomic field of the given level.
 
     ``rep`` is the unique representative of degree < phi(level) modulo the
     level's cyclotomic polynomial; the constructor reduces whatever it is
-    given.  Supports +, -, *, ** and scalar mixing with rationals.
+    given.  Supports +, -, *, ** and scalar mixing with rationals.  Equality
+    also holds against rationals, so instances are unhashable.
     """
 
+    __slots__ = _fields = ("level", "rep")
     level: int
     rep: UPoly
 
-    def __post_init__(self):
-        if self.level < 1:
+    def __init__(self, level: int, rep: UPoly):
+        if level < 1:
             raise DomainError("cyclotomic level must be positive")
-        object.__setattr__(self, "rep", self.rep % cyclotomic_polynomial(self.level))
+        super().__init__(level, rep % cyclotomic_polynomial(level))
 
     @classmethod
     def from_rational(cls, value: RatLike, level: int = 1) -> CycNum:

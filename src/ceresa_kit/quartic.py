@@ -16,29 +16,27 @@ over an algebraic closure or over the rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
 from .exactmath import RatLike, rat, rational_nth_root, rational_sqrt
+from .value import Value
 
 
-@dataclass(frozen=True)
-class DepressedQuartic:
+class DepressedQuartic(Value):
     """Coefficient triple (a, b, c) of x^4 + a x^2 + b x + c.
 
     A vanishing discriminant is allowed here; only curve-level constructors
     reject it.
     """
 
+    __slots__ = _fields = ("a", "b", "c")
     a: Fraction
     b: Fraction
     c: Fraction
 
     def __init__(self, a: RatLike, b: RatLike, c: RatLike):
-        object.__setattr__(self, "a", rat(a))
-        object.__setattr__(self, "b", rat(b))
-        object.__setattr__(self, "c", rat(c))
+        super().__init__(rat(a), rat(b), rat(c))
 
     def coefficients(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c)
@@ -53,8 +51,8 @@ class DepressedQuartic:
         return f"x^4 + ({self.a})*x^2 + ({self.b})*x + ({self.c})"
 
 
-@dataclass(frozen=True)
-class QuarticInvariants:
+class QuarticInvariants(Value):
+    __slots__ = _fields = ("I", "J", "disc")
     I: Fraction
     J: Fraction
     disc: Fraction

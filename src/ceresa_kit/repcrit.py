@@ -45,50 +45,49 @@ has invariants under the full dihedral action.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Sequence
 
-from .errors import DomainError, ProfileError
+from .errors import DomainError, ProfileError, quoted
 from .exactmath import cyclotomic_polynomial, monic_divmod
+from .value import Value
 
 
-@dataclass(frozen=True)
-class ConjClass:
+class ConjClass(Value):
     """One conjugacy class: its size and a representative's eigenvalue exponents."""
 
+    __slots__ = _fields = ("size", "exps")
     size: int
     exps: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ActionProfile:
+class ActionProfile(Value):
     """Eigenvalue data of a finite group acting on a space of dimension g."""
 
+    __slots__ = _fields = ("group_order", "level", "classes")
     group_order: int
     level: int
     classes: tuple[ConjClass, ...]
 
-    def __post_init__(self):
-        if self.group_order < 1 or self.level < 1:
+    def __init__(self, group_order: int, level: int, classes: tuple[ConjClass, ...]):
+        if group_order < 1 or level < 1:
             raise ProfileError("group order and level must be positive")
-        if not self.classes:
+        if not classes:
             raise ProfileError("profile has no conjugacy classes")
-        dims = {len(cls.exps) for cls in self.classes}
+        dims = {len(cls.exps) for cls in classes}
         if len(dims) != 1:
             raise ProfileError("conjugacy classes disagree on dim V")
-        if any(cls.size < 1 for cls in self.classes):
+        if any(cls.size < 1 for cls in classes):
             raise ProfileError("class sizes must be positive")
-        if sum(cls.size for cls in self.classes) != self.group_order:
+        if sum(cls.size for cls in classes) != group_order:
             raise ProfileError("class sizes do not sum to the group order")
-        if not any(all(e % self.level == 0 for e in cls.exps) for cls in self.classes):
+        if not any(all(e % level == 0 for e in cls.exps) for cls in classes):
             raise ProfileError("identity class (all exponents 0) is missing")
         normalized = tuple(
-            ConjClass(cls.size, tuple([e % self.level for e in cls.exps]))
-            for cls in self.classes
+            ConjClass(cls.size, tuple([e % level for e in cls.exps])) for cls in classes
         )
-        object.__setattr__(self, "classes", normalized)
+        super().__init__(group_order, level, normalized)
 
     @property
     def dim(self) -> int:
@@ -104,24 +103,24 @@ class ActionProfile:
         }
 
 
-@dataclass(frozen=True)
-class CyclicProfile:
+class CyclicProfile(Value):
     """A cyclic group of order n acting on V, fixed by its generator.
 
     ``generator`` holds the generator's eigenvalue exponents, reduced mod n
     on construction; the level is n.  The kernel reads the generator alone.
     ``classes`` lists the n elements g^k as an :class:`ActionProfile` does,
-    built only when read.
+    built only when read (and kept in the instance ``__dict__``).
     """
 
+    __slots__ = ("group_order", "generator", "__dict__")
+    _fields = ("group_order", "generator")
     group_order: int
     generator: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.group_order < 1:
+    def __init__(self, group_order: int, generator: tuple[int, ...]):
+        if group_order < 1:
             raise DomainError("cyclic group order must be positive")
-        n = self.group_order
-        object.__setattr__(self, "generator", tuple([e % n for e in self.generator]))
+        super().__init__(group_order, tuple([e % group_order for e in generator]))
 
     @property
     def level(self) -> int:
@@ -147,7 +146,7 @@ Profile = ActionProfile | CyclicProfile
 def _json_int(value) -> int:
     # JSON integers only: int() would truncate 1.9 and accept true or "3".
     if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
+        raise TypeError(f"expected an integer, got {quoted(value)}")
     return value
 
 
@@ -380,6 +379,6 @@ def preset_profile(name: str) -> CyclicProfile:
         try:
             m, a, b = (int(part) for part in name.split(":", 1)[1].split(","))
         except ValueError as exc:
-            raise DomainError(f"expected dihedral:m,a,b, got {name!r}") from exc
+            raise DomainError(f"expected dihedral:m,a,b, got {quoted(name)}") from exc
         return dihedral_profile(m, a, b)
-    raise DomainError(f"unknown profile preset {name!r}")
+    raise DomainError(f"unknown profile preset {quoted(name)}")

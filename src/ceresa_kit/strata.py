@@ -15,20 +15,37 @@ startup self-test guarding it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from .errors import DomainError, quoted
+from .value import Value
 
-from .errors import DomainError
 
-
-@dataclass(frozen=True)
-class StratumRecord:
+class StratumRecord(Value):
+    __slots__ = _fields = (
+        "label", "dim", "closure_children", "chow_torsion", "griffiths_torsion",
+        "gap_label", "model_equation",
+    )
     label: str
     dim: int
     closure_children: tuple[str, ...]
     chow_torsion: bool
     griffiths_torsion: bool
-    gap_label: str | None = None
-    model_equation: str | None = None
+    gap_label: str | None
+    model_equation: str | None
+
+    def __init__(
+        self,
+        label: str,
+        dim: int,
+        closure_children: tuple[str, ...],
+        chow_torsion: bool,
+        griffiths_torsion: bool,
+        gap_label: str | None = None,
+        model_equation: str | None = None,
+    ):
+        super().__init__(
+            label, dim, closure_children, chow_torsion, griffiths_torsion,
+            gap_label, model_equation,
+        )
 
     def to_json(self) -> dict:
         return {
@@ -90,7 +107,7 @@ def stratum_info(label: str) -> StratumRecord:
     try:
         return STRATA[label]
     except KeyError:
-        raise DomainError(f"unknown stratum {label!r}; known: {', '.join(labels())}")
+        raise DomainError(f"unknown stratum {quoted(label)}; known: {', '.join(labels())}")
 
 
 def verdict_consistency(table: dict[str, StratumRecord] | None = None) -> bool:
@@ -130,9 +147,10 @@ def mutated_table(label: str, field: str) -> dict[str, StratumRecord]:
     if field not in ("chow_torsion", "griffiths_torsion"):
         raise DomainError(f"not a verdict flag: {field!r}")
     record = stratum_info(label)
-    flipped = replace(record, **{field: not getattr(record, field)})
+    values = dict(zip(record._fields, record._astuple(record)))
+    values[field] = not values[field]
     table = dict(STRATA)
-    table[label] = flipped
+    table[label] = StratumRecord(**values)
     return table
 
 

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
-from ceresa_kit import cli, repcrit
+from ceresa_kit import DepressedQuartic, cli, invariants, repcrit
 from ceresa_kit.cli import main
+from ceresa_kit.exactmath import MAX_LITERAL_CHARS
 
 
 def run(capsys, *argv):
@@ -231,6 +234,56 @@ def test_exponent_literals_exit_with_domain_error(capsys):
     code, _, err = run(capsys, "scan", "--a-range", "0:1E3", "--b-range", "1",
                        "--c-range", "1")
     assert code == 2 and "exponent" in err
+
+
+def test_literal_cap_boundary_on_invariants(capsys):
+    cap = MAX_LITERAL_CHARS
+    # Pairwise coprime denominators of cap - 2 digits give disc about the
+    # most digits that literals of cap characters can: it must still print.
+    a = "1/" + "9" * (cap - 2)
+    b = "1/" + "9" * (cap - 3) + "7"
+    c = "1/" + "9" * (cap - 3) + "1"
+    assert len(a) == len(b) == len(c) == cap
+    expected = invariants(DepressedQuartic(a, b, c))
+    assert len(str(expected.disc.denominator)) > 4200
+    payload = run_json(capsys, "invariants", "-a", a, "-b", b, "-c", c, "--format", "json")
+    assert {k: Fraction(v) for k, v in payload.items()} == {
+        "I": expected.I, "J": expected.J, "disc": expected.disc}
+    code, out, _ = run(capsys, "invariants", "-a", a, "-b", b, "-c", c)
+    assert code == 0 and out.splitlines()[2] == f"disc = {expected.disc}"
+    for literal, argv in (
+        ("1" + "0" * cap, ["-a", "1" + "0" * cap, "-b", "1", "-c", "1"]),
+        ("-" + "1" * cap, ["-a", "1", "-b", "1", "-c", "-" + "1" * cap]),
+    ):
+        code, out, err = run(capsys, "invariants", *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: rational literal {literal[:40]!r}… "
+                       f"is longer than {cap} characters\n")
+
+
+def test_oversized_literals_exit_with_a_short_domain_error(capsys):
+    huge = "1" + "0" * 1100  # disc would exceed Python's int-to-string limit
+    for command in ("invariants", "decide"):
+        code, out, err = run(capsys, command, "-a", huge, "-b", "1", "-c", "1")
+        assert (code, out) == (2, "") and "longer than" in err
+    code, out, err = run(capsys, "decide", "-a", "1" * 5001, "-b", "1", "-c", "1")
+    assert (code, out) == (2, "") and len(err) < 120
+    # A range value must fit the same bound as a literal: lo + step has a
+    # denominator of 421 digits although every literal has at most 232 chars.
+    lo, step = Fraction(1, 2**700), Fraction(1, 3**440)
+    hi = f"0.{math.ceil((lo + 3 * step / 2) * 10**230):0230d}"
+    code, out, err = run(capsys, "scan", "--a-range", f"{lo}:{hi}:{step}",
+                         "--b-range", "0", "--c-range", "1")
+    assert (code, out) == (2, "") and "more than 390 digits" in err and len(err) < 140
+    code, out, err = run(capsys, "repcrit", "--profile", "dihedral:1" + "0" * 5000 + ",1,3")
+    assert (code, out) == (2, "") and len(err) < 120
+
+
+def test_profile_file_with_an_oversized_integer_is_a_domain_error(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"group_order": 1' + "0" * 5000 + ', "level": 1, "classes": []}')
+    code, out, err = run(capsys, "repcrit", "--profile", str(path))
+    assert (code, out) == (2, "") and err.startswith("error: invalid profile JSON in ")
 
 
 def test_json_outputs_are_valid_json(capsys):

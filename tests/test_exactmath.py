@@ -7,6 +7,7 @@ import pytest
 
 from ceresa_kit.errors import DomainError, NotRationalError
 from ceresa_kit.exactmath import (
+    MAX_LITERAL_CHARS,
     CycNum,
     UPoly,
     cyc_to_rational,
@@ -58,6 +59,25 @@ def test_rat_rejects_exponent_notation():
     for literal in ("1e500000", "1E5", "2.5e-3", "-1e3/7", "1e999999999"):
         with pytest.raises(DomainError):
             rat(literal)
+
+
+def test_rat_caps_literal_length_and_clips_messages():
+    longest = "9" * MAX_LITERAL_CHARS
+    assert rat(longest) == 10**MAX_LITERAL_CHARS - 1
+    assert rat("-1/" + "7" * (MAX_LITERAL_CHARS - 3)).denominator == int(
+        "7" * (MAX_LITERAL_CHARS - 3))
+    for literal in (longest + "9", " " + longest, "1" * 5001, "1/" + "3" * 5000):
+        with pytest.raises(DomainError, match="longer than 390 characters") as info:
+            rat(literal)
+        assert str(info.value) == (
+            f"rational literal {literal[:40]!r}… is longer than 390 characters")
+    with pytest.raises(DomainError) as info:
+        rat("x" * 300)
+    assert str(info.value) == f"invalid rational literal {'x' * 40!r}…"
+    with pytest.raises(DomainError) as info:
+        rat("1" * 100 + "e5")
+    assert str(info.value) == (
+        f"invalid rational literal {'1' * 40!r}…: no exponent notation")
 
 
 def test_rational_nth_root():
