@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from . import ceresa, repcrit, strata
@@ -49,11 +51,18 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _parse_values(text: str) -> list[Fraction]:
-    """Grid values: "lo:hi[:step]" (inclusive) or a comma-separated list.
+#: Most points a `scan` grid may have: the product of its axis lengths,
+#: counted before any value is built.  The CLI decides a few hundred points
+#: a second and keeps every row in memory (about 0.6 kB a point on small
+#: coefficients), so a grid at the cap already takes tens of minutes.
+MAX_SCAN_POINTS = 10**6
 
-    A range value, like a literal, must have numerator and denominator
-    below 10^MAX_LITERAL_CHARS, so that every scan row can be printed.
+
+def _parse_axis(text: str) -> tuple[int, Iterable[Fraction]]:
+    """A grid axis, "lo:hi[:step]" (inclusive) or a comma-separated list.
+
+    Returns its exact number of values and the values; a range's values
+    are built only as they are read.
     """
     if ":" in text:
         parts = text.split(":")
@@ -63,18 +72,37 @@ def _parse_values(text: str) -> list[Fraction]:
         step = rat(parts[2]) if len(parts) == 3 else Fraction(1)
         if step == 0:
             raise DomainError("range step must be nonzero")
-        values = []
-        v = lo
-        while (step > 0 and v <= hi) or (step < 0 and v >= hi):
-            if max(abs(v.numerator), v.denominator) >= MAX_LITERAL_VALUE:
-                raise DomainError(
-                    f"range {quoted(text)} reaches a value of more than "
-                    f"{MAX_LITERAL_CHARS} digits"
-                )
-            values.append(v)
-            v += step
-        return values
-    return [rat(part) for part in text.split(",")]
+        # lo + k*step lies in the range exactly when 0 <= k <= (hi - lo)/step
+        count = max(0, (hi - lo) // step + 1)
+        return count, _range_values(text, lo, step, count)
+    values = [rat(part) for part in text.split(",")]
+    return len(values), values
+
+
+def _range_values(text: str, lo: Fraction, step: Fraction, count: int) -> Iterator[Fraction]:
+    # A range value, like a literal, must have numerator and denominator
+    # below 10^MAX_LITERAL_CHARS, so that every scan row can be printed.
+    v = lo
+    for _ in range(count):
+        if max(abs(v.numerator), v.denominator) >= MAX_LITERAL_VALUE:
+            raise DomainError(
+                f"range {quoted(text)} reaches a value of more than "
+                f"{MAX_LITERAL_CHARS} digits"
+            )
+        yield v
+        v += step
+
+
+def _scan_axes(*texts: str) -> list[list[Fraction]]:
+    """The values of each grid axis, once the grid is known to fit the cap.
+
+    An empty grid builds no value; `ceresa.scan` reports it.
+    """
+    axes = [_parse_axis(text) for text in texts]
+    points = math.prod(count for count, _ in axes)
+    if points > MAX_SCAN_POINTS:
+        raise DomainError(f"scan grid has more than {MAX_SCAN_POINTS} points")
+    return [list(values) if points else [] for _, values in axes]
 
 
 def _print_json(obj) -> None:
@@ -130,9 +158,21 @@ def _cmd_torsion(args) -> int:
     return 0
 
 
+def _check_member_printable(values) -> None:
+    # A member's coefficients and disc have degree up to 18 in t, so a long
+    # t reaches values that CPython refuses to convert to a decimal string.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and any(max(abs(v.numerator), v.denominator) >= 10**limit for v in values):
+        raise DomainError(
+            f"the family member has a value of more than {limit} digits, "
+            "beyond Python's int-to-string limit; choose a shorter t"
+        )
+
+
 def _cmd_family(args) -> int:
     curve = ceresa.family_generate(args.I, args.J, args.t)
     inv = curve.invariants
+    _check_member_printable((*curve.quartic.coefficients(), inv.I, inv.J, inv.disc))
     if args.format == "json":
         _print_json({"curve": curve.quartic.to_json(), **inv.to_json()})
     else:
@@ -273,11 +313,7 @@ def _cmd_strata(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    records = ceresa.scan(
-        _parse_values(args.a_range),
-        _parse_values(args.b_range),
-        _parse_values(args.c_range),
-    )
+    records = ceresa.scan(*_scan_axes(args.a_range, args.b_range, args.c_range))
     payload = "\n".join(ceresa.scan_csv_lines(records)) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
@@ -335,24 +371,32 @@ _COMMANDS = (
                   "output is the same for every value"),
     )),
 )
-_COMMAND_NAMES = frozenset(row[0] for row in _COMMANDS)
+_COMMANDS_BY_NAME = {row[0]: row for row in _COMMANDS}
+
+
+def _add_command(parser: _Parser, handler, arguments) -> None:
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(handler=handler)
 
 
 def build_parser(command: str | None = None) -> _Parser:
-    """The ceresa-kit parser with every subcommand, or with `command`'s alone.
+    """The ceresa-kit parser with every subcommand, or `command`'s alone.
 
-    A call that names its subcommand needs only that subparser; help and
+    A call that names its subcommand needs only that subcommand's
+    arguments: one flat parser, whose prog is the one argparse gives the
+    subparser, so its help and usage messages read the same.  Help and
     usage messages about the command as a whole need the full parser.
     """
+    if command is not None:
+        _, _, handler, arguments = _COMMANDS_BY_NAME[command]
+        parser = _Parser(prog=f"ceresa-kit {command}")
+        _add_command(parser, handler, arguments)
+        return parser
     parser = _Parser(prog="ceresa-kit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, help_text, handler, arguments in _COMMANDS:
-        if command is not None and name != command:
-            continue
-        p = sub.add_parser(name, help=help_text)
-        for flags, options in arguments:
-            p.add_argument(*flags, **options)
-        p.set_defaults(handler=handler)
+        _add_command(sub.add_parser(name, help=help_text), handler, arguments)
     return parser
 
 
@@ -360,10 +404,10 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_negative_values(list(argv))
-    command = argv[0] if argv and argv[0] in _COMMAND_NAMES else None
+    command = argv[0] if argv and argv[0] in _COMMANDS_BY_NAME else None
     parser = build_parser(command)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv if command is None else argv[1:])
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         if command is not None:  # the usage line lists every subcommand

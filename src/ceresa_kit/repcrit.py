@@ -183,13 +183,17 @@ def _pack(exps: Sequence[int], level: int, nbytes: int) -> int:
     return int.from_bytes(digits, "little")
 
 
-def _fold(packed: int, level: int, nbytes: int) -> tuple[int, ...]:
+def _fold(packed: int, level: int, nbytes: int) -> int:
     # Reduce mod x^level - 1 by adding the digits at and above `level` onto
-    # the low ones (no carries, by the width bound), then unpack.
+    # the low ones (no carries, by the width bound).
     span = 8 * nbytes * level
     low = (1 << span) - 1
     while packed >> span:
         packed = (packed & low) + (packed >> span)
+    return packed
+
+
+def _unpack(packed: int, level: int, nbytes: int) -> tuple[int, ...]:
     data = packed.to_bytes(nbytes * level, "little")
     return tuple([int.from_bytes(data[i:i + nbytes], "little")
                   for i in range(0, len(data), nbytes)])
@@ -236,13 +240,14 @@ def _group_sums(profile: Profile, space: str) -> tuple[tuple[int, ...], ...]:
         return c1, c1 * c1 * c1, c1 * c2, _pack([3 * e % level for e in exps], level, nbytes)
 
     if isinstance(profile, CyclicProfile):
-        return tuple((level * _fold(total, level, nbytes)[0],)
+        digit = (1 << 8 * nbytes) - 1  # mask of digit 0, the constant term
+        return tuple((level * (_fold(total, level, nbytes) & digit),)
                      for total in characters(profile.generator))
     sums = [0, 0, 0, 0]
     for cls in profile.classes:
         for i, value in enumerate(characters(cls.exps)):
             sums[i] += cls.size * value
-    return tuple(_fold(total, level, nbytes) for total in sums)
+    return tuple(_unpack(_fold(total, level, nbytes), level, nbytes) for total in sums)
 
 
 @lru_cache(maxsize=4096)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -214,6 +216,63 @@ def test_scan_rational_ranges(capsys):
     ]
 
 
+def test_scan_range_with_a_tiny_step_is_refused_before_any_value(capsys):
+    # 1/3 + k/7...7 stays below 390 digits, so only the point count can
+    # stop this range: it has about 5 * 10^299 values.
+    tiny = "1/" + "7" * 300
+    start = time.perf_counter()
+    code, out, err = run(capsys, "scan", "--a-range", f"1/3:1:{tiny}",
+                         "--b-range", "0", "--c-range", "1")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err == f"error: scan grid has more than {cli.MAX_SCAN_POINTS} points\n"
+    # An empty axis makes the grid empty, however long the other axes are.
+    code, out, err = run(capsys, "scan", "--a-range", f"1/3:1:{tiny}",
+                         "--b-range", "1:0", "--c-range", "1")
+    assert (code, out, err) == (2, "", "error: empty scan grid\n")
+
+
+def test_scan_grid_at_the_cap_is_accepted(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SCAN_POINTS", 6)
+    argv = ["scan", "--a-range", "0:1:1/2", "--b-range", "1", "--c-range", "1,3/2"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(out.splitlines()) == 1 + 6
+    # a descending range counts the same way
+    code, out, _ = run(capsys, *argv[:2], "1:0:-1/2", *argv[3:])
+    assert code == 0 and len(out.splitlines()) == 1 + 6
+    code, out, err = run(capsys, *argv[:2], "0:3/2:1/2", *argv[3:])
+    assert (code, out) == (2, "") and err == "error: scan grid has more than 6 points\n"
+
+
+def test_family_refuses_values_beyond_the_int_to_string_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int-to-string conversion is unlimited")
+
+    # At I = 3, J = 9, g(t) = (3t^3 - 3t - 1)/3 and disc = g^6, the longest
+    # printed value: find the largest integer t whose disc numerator prints.
+    def disc_numerator(t):
+        return (3 * t**3 - 3 * t - 1) ** 6
+
+    lo, hi = 1, 10 ** (limit // 18 + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if disc_numerator(mid) < 10**limit else (lo, mid)
+    assert len(str(disc_numerator(lo))) == limit
+    code, out, err = run(capsys, "family", "-I", "3", "-J", "9", "-t", str(lo))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].endswith(f", disc = {disc_numerator(lo)}/729")
+    payload = run_json(capsys, "family", "-I", "3", "-J", "9", "-t", str(lo),
+                       "--format", "json")
+    assert payload["disc"] == f"{disc_numerator(lo)}/729"
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "family", "-I", "3", "-J", "9", "-t", str(hi),
+                             "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == (f"error: the family member has a value of more than {limit} "
+                       "digits, beyond Python's int-to-string limit; choose a shorter t\n")
+
+
 def test_exit_codes(capsys):
     code, _, err = run(capsys, "decide", "-a", "0", "-b", "0", "-c", "0")
     assert code == 2 and "error" in err
@@ -312,7 +371,7 @@ def test_single_command_parser_matches_full_parser(capsys):
     full = _subparsers(cli.build_parser())
     assert [row[0] for row in cli._COMMANDS] == list(full)
     for name, subparser in full.items():
-        assert list(_subparsers(cli.build_parser(name))) == [name]
+        assert cli.build_parser(name).format_help() == subparser.format_help()
         code, out, err = run(capsys, name, "--help")
         assert code == 0 and err == ""
         assert out == subparser.format_help()
