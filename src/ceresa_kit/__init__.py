@@ -10,17 +10,8 @@ Everything is computed over the rationals with ``fractions.Fraction``;
 there are no floats and no tolerances.
 """
 
-from .errors import DomainError, NotRationalError, ProfileError
-from .exactmath import (
-    CycNum,
-    Rat,
-    UPoly,
-    cyc_to_rational,
-    cyclotomic_polynomial,
-    poly_discriminant,
-    rat,
-    rat_str,
-)
+from .errors import DomainError, ProfileError
+from .exactmath import UPoly, cyclotomic_polynomial, rat
 from .quartic import (
     DepressedQuartic,
     QuarticInvariants,
@@ -36,7 +27,6 @@ from .elliptic import (
     WeierstrassCurve,
     add,
     affine,
-    from_doubled_model,
     negate,
     rational_torsion_j0,
     scalar_mul,

@@ -26,7 +26,7 @@ from . import elliptic
 from .elliptic import ECPoint, WeierstrassCurve
 from .errors import DomainError
 from .exactmath import RatLike, rat
-from .quartic import DepressedQuartic, QuarticInvariants, invariants
+from .quartic import DepressedQuartic, QuarticInvariants, from_invariant_point, invariants
 from .value import Value
 
 E0_DOUBLED_D = Fraction(-27)  # y^2 = 4x^3 - 27, the disc = 1 fiber
@@ -107,13 +107,16 @@ class PicardPoint(Value):
 
 
 def picard_invariant_point(curve: PicardCurve) -> PicardPoint:
-    """Build (I, J) on y^2 = 4x^3 - 27*disc and its short-model image."""
+    """Build (I, J) on y^2 = 4x^3 - 27*disc and its image (4I, 4J) on the short model.
+
+    The map (x, y) -> (4x, 4y) sends y^2 = 4x^3 + D onto y^2 = x^3 + 16D.
+    """
     inv = curve.invariants
     d = -27 * inv.disc
-    short, model_map = elliptic.from_doubled_model(d)
-    p_doubled = elliptic.affine(inv.I, inv.J)
-    p_short = model_map.apply(p_doubled)
-    return PicardPoint(inv, d, short, p_doubled, p_short)
+    return PicardPoint(
+        inv, d, WeierstrassCurve(0, 16 * d),
+        ECPoint(inv.I, inv.J), ECPoint(4 * inv.I, 4 * inv.J),
+    )
 
 
 def decide(curve: PicardCurve) -> CeresaVerdict:
@@ -170,15 +173,15 @@ def family_generate(inv_i: RatLike, inv_j: RatLike, t: RatLike) -> PicardCurve:
     """Member at parameter t of the torsion family attached to (I, J) on E0.
 
     Requires J^2 = 4I^3 - 27 (the disc = 1 normalization) and
-    g(t) = t^3 - It/3 - J/27 nonzero.  With alpha = t*g(t) and beta = g(t)^2
-    the member is
+    g(t) = t^3 - It/3 - J/27 nonzero.  The member is the quartic with
+    invariants (g^2 I, g^3 J) through the point (t*g, g^2) of
+    y^2 = x^3 - g^2 I x/3 - g^3 J/27, namely
 
-        x^4 - (3*alpha/2) x^2 + beta x + (g(t)^2 I/12 - 3*alpha^2/16),
+        x^4 - (3*t*g/2) x^2 + g^2 x + (g^2 I/12 - 3*t^2 g^2/16),
 
-    whose invariants are exactly (g^2 I, g^3 J) with discriminant g^6: the
-    weighted rescaling of the fiber quartic by g(t)^(1/2) forces the g^2
-    factor on the I/12 term.  The discriminant g^6 is nonzero whenever
-    g(t) is, so the member is always a valid curve.
+    with discriminant g^6: the weighted rescaling of the fiber quartic by
+    g(t)^(1/2) forces the g^2 factor on the I/12 term.  The discriminant g^6
+    is nonzero whenever g(t) is, so the member is always a valid curve.
     """
     inv_i, inv_j, t = rat(inv_i), rat(inv_j), rat(t)
     if inv_j**2 != 4 * inv_i**3 - 27:
@@ -186,20 +189,17 @@ def family_generate(inv_i: RatLike, inv_j: RatLike, t: RatLike) -> PicardCurve:
     g = t**3 - inv_i * t / 3 - inv_j / 27
     if g == 0:
         raise DomainError(f"degenerate parameter: g({t}) = 0")
-    alpha = t * g
-    member = DepressedQuartic(
-        -3 * alpha / 2,
-        g * g,
-        g * g * inv_i / 12 - 3 * alpha**2 / 16,
-    )
-    return PicardCurve(member)
+    return PicardCurve(from_invariant_point(g * g * inv_i, g**3 * inv_j, t * g, g * g))
 
 
 def e0_rational_torsion() -> list[ECPoint]:
-    """Rational torsion of y^2 = 4x^3 - 27, in that model's coordinates."""
-    short, model_map = elliptic.from_doubled_model(E0_DOUBLED_D)
-    pts = elliptic.rational_torsion_j0(short.B)
-    return [model_map.unapply(p) for p in pts]
+    """Rational torsion of y^2 = 4x^3 - 27, in that model's coordinates.
+
+    The torsion is enumerated on the short model y^2 = x^3 - 432, the image
+    of E0 under (x, y) -> (4x, 4y), and scaled back by 1/4.
+    """
+    pts = elliptic.rational_torsion_j0(16 * E0_DOUBLED_D)
+    return [p if p.is_infinity else ECPoint(p.x / 4, p.y / 4) for p in pts]
 
 
 VERDICT_TORSION = "torsion"

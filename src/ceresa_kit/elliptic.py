@@ -7,7 +7,6 @@ Fraction arithmetic, so there are no tolerances anywhere.
 
 Beyond the group law, this module provides:
 
-  * conversion from the classical y^2 = 4x^3 + D model via (x, y) -> (4x, 4y),
   * the torsion-order decision over Q (exhaustive multiplication up to the
     Mazur bound of 12),
   * full rational torsion enumeration for j = 0 curves y^2 = x^3 + D,
@@ -139,45 +138,6 @@ def torsion_order_q(e: WeierstrassCurve, p: ECPoint) -> int | None:
             return n
         acc = add(e, acc, p)
     return None
-
-
-class DoubledModelMap(Value):
-    """Point correspondence between y^2 = 4x^3 + D and its short model.
-
-    ``apply`` sends a point of the source model to y^2 = x^3 + 16D via
-    (x, y) -> (4x, 4y); ``unapply`` inverts.
-    """
-
-    __slots__ = _fields = ("D", "short")
-    D: Fraction
-    short: WeierstrassCurve
-
-    def source_contains(self, p: ECPoint) -> bool:
-        if p.is_infinity:
-            return True
-        return p.y * p.y == 4 * p.x**3 + self.D
-
-    def apply(self, p: ECPoint) -> ECPoint:
-        if not self.source_contains(p):
-            raise DomainError(f"point {p} is not on y^2 = 4x^3 + ({self.D})")
-        if p.is_infinity:
-            return INFINITY
-        return ECPoint(4 * p.x, 4 * p.y)
-
-    def unapply(self, p: ECPoint) -> ECPoint:
-        _require_on_curve(self.short, p)
-        if p.is_infinity:
-            return INFINITY
-        return ECPoint(p.x / 4, p.y / 4)
-
-
-def from_doubled_model(d: RatLike) -> tuple[WeierstrassCurve, DoubledModelMap]:
-    """Short model of y^2 = 4x^3 + D together with the point map (4x, 4y)."""
-    d = rat(d)
-    if d == 0:
-        raise DomainError("y^2 = 4x^3 is singular")
-    short = WeierstrassCurve(0, 16 * d)
-    return short, DoubledModelMap(d, short)
 
 
 def rational_torsion_j0(d: RatLike) -> list[ECPoint]:

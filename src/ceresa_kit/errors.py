@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """An operation was called with input outside its domain."""
 
 
-class NotRationalError(DomainError):
-    """A cyclotomic number was asked to convert to a rational but is not one."""
-
-
 class ProfileError(DomainError):
     """Eigenvalue data does not describe a genuine finite group action."""
 

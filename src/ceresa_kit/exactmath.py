@@ -1,19 +1,14 @@
-"""Exact scalar arithmetic: rationals, univariate polynomials, cyclotomic numbers.
+"""Exact scalar arithmetic: rationals, univariate polynomials, cyclotomic polynomials.
 
 Conventions used throughout the package:
 
   * Every scalar is a ``fractions.Fraction``: arbitrary precision, always
-    stored fully reduced with a positive denominator.  ``rat`` and
-    ``rat_str`` convert to and from the "p/q" wire format ("p" when the
-    denominator is 1, optional leading minus on the numerator only).
+    stored fully reduced with a positive denominator.  ``rat`` reads the
+    "p/q" wire format ("p" when the denominator is 1, optional leading
+    minus on the numerator only), and ``str`` writes it.
   * A polynomial is a dense tuple of Fraction coefficients, index =
     degree, trailing zeros trimmed.  The zero polynomial has an empty
     coefficient tuple and degree -1.
-  * A cyclotomic number of level L is a residue modulo the L-th
-    cyclotomic polynomial: a polynomial of degree < phi(L) in a fixed
-    primitive L-th root of unity.  Equality at a common level is
-    coefficientwise; operands at different levels are lifted to level
-    lcm(L1, L2) before combining.
 
 All values are immutable and every operation is a pure function, so they
 can be shared freely between threads.  There are no floats anywhere.
@@ -26,10 +21,8 @@ from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, NotRationalError, quoted
+from .errors import DomainError, quoted
 from .value import Value
-
-Rat = Fraction
 
 RatLike = Fraction | int | str
 
@@ -72,11 +65,6 @@ def rat(value: RatLike) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"invalid rational literal {quoted(value)}") from exc
     raise DomainError(f"cannot interpret {quoted(value)} as an exact rational")
-
-
-def rat_str(value: Fraction) -> str:
-    """Serialize a rational as "p/q", or "p" when the denominator is 1."""
-    return str(value)
 
 
 def _int_nth_root(k: int, n: int) -> int:
@@ -154,10 +142,6 @@ class UPoly(Value):
     @classmethod
     def const(cls, c: RatLike) -> UPoly:
         return cls((rat(c),))
-
-    @classmethod
-    def x(cls) -> UPoly:
-        return cls((0, 1))
 
     @classmethod
     def x_pow(cls, k: int) -> UPoly:
@@ -282,38 +266,6 @@ class UPoly(Value):
         return "".join(parts)
 
 
-def resultant(p: UPoly, q: UPoly) -> Fraction:
-    """Resultant of two polynomials by the Euclidean remainder sequence.
-
-    Uses Res(A, B) = lc(A)^(deg B - deg R) * Res(A, R) for R = B mod A and
-    the swap rule Res(A, B) = (-1)^(deg A * deg B) * Res(B, A).
-    """
-    if p.is_zero() or q.is_zero():
-        return Fraction(0)
-    dp, dq = p.degree(), q.degree()
-    if dq == 0:
-        return q.lc() ** dp
-    if dp == 0:
-        return p.lc() ** dq
-    if dp < dq:
-        sign = -1 if (dp * dq) % 2 else 1
-        return sign * resultant(q, p)
-    r = p % q
-    if r.is_zero():
-        return Fraction(0)
-    sign = -1 if (dp * dq) % 2 else 1
-    return sign * q.lc() ** (dp - r.degree()) * resultant(q, r)
-
-
-def poly_discriminant(p: UPoly) -> Fraction:
-    """Discriminant via disc(p) = (-1)^(d(d-1)/2) * Res(p, p') / lc(p)."""
-    d = p.degree()
-    if d < 1:
-        raise DomainError("discriminant requires degree >= 1")
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * resultant(p, p.derivative()) / p.lc()
-
-
 def monic_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     """Quotient and remainder of integer polynomials by a monic divisor.
 
@@ -368,100 +320,3 @@ def cyclotomic_polynomial(level: int) -> UPoly:
                 rest //= p
         p += 1
     return UPoly(_stretch(phi, level // rad))
-
-
-class CycNum(Value):
-    """An element of the cyclotomic field of the given level.
-
-    ``rep`` is the unique representative of degree < phi(level) modulo the
-    level's cyclotomic polynomial; the constructor reduces whatever it is
-    given.  Supports +, -, *, ** and scalar mixing with rationals.  Equality
-    also holds against rationals, so instances are unhashable.
-    """
-
-    __slots__ = _fields = ("level", "rep")
-    level: int
-    rep: UPoly
-
-    def __init__(self, level: int, rep: UPoly):
-        if level < 1:
-            raise DomainError("cyclotomic level must be positive")
-        super().__init__(level, rep % cyclotomic_polynomial(level))
-
-    @classmethod
-    def from_rational(cls, value: RatLike, level: int = 1) -> CycNum:
-        return cls(level, UPoly.const(rat(value)))
-
-    def _lift(self, level: int) -> CycNum:
-        if level == self.level:
-            return self
-        assert level % self.level == 0
-        return CycNum(level, self.rep.compose_xpow(level // self.level))
-
-    def _pair(self, other: CycNum | RatLike) -> tuple[CycNum, CycNum]:
-        if not isinstance(other, CycNum):
-            other = CycNum.from_rational(rat(other), self.level)
-        m = math.lcm(self.level, other.level)
-        return self._lift(m), other._lift(m)
-
-    def __add__(self, other: CycNum | RatLike) -> CycNum:
-        a, b = self._pair(other)
-        return CycNum(a.level, a.rep + b.rep)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: CycNum | RatLike) -> CycNum:
-        a, b = self._pair(other)
-        return CycNum(a.level, a.rep - b.rep)
-
-    def __rsub__(self, other: CycNum | RatLike) -> CycNum:
-        a, b = self._pair(other)
-        return CycNum(a.level, b.rep - a.rep)
-
-    def __neg__(self) -> CycNum:
-        return CycNum(self.level, -self.rep)
-
-    def __mul__(self, other: CycNum | RatLike) -> CycNum:
-        a, b = self._pair(other)
-        return CycNum(a.level, a.rep * b.rep)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> CycNum:
-        if n < 0:
-            raise ValueError("negative power not supported")
-        result = CycNum.from_rational(1, self.level)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (Fraction, int)):
-            other = CycNum.from_rational(other, self.level)
-        if not isinstance(other, CycNum):
-            return NotImplemented
-        a, b = self._pair(other)
-        return a.rep == b.rep
-
-    def is_rational(self) -> bool:
-        return self.rep.degree() <= 0
-
-    def __str__(self) -> str:
-        return f"CycNum(level={self.level}, {self.rep})"
-
-    __repr__ = __str__
-
-
-def cyc_to_rational(z: CycNum) -> Fraction:
-    """Extract the rational value of a degree-0 cyclotomic number.
-
-    Correct because powers of the root of unity below phi(level) form a
-    basis, so a reduced representative of positive degree is irrational.
-    """
-    if not z.is_rational():
-        raise NotRationalError(f"not rational: {z}")
-    return z.rep.coeff(0)

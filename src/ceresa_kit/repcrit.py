@@ -54,6 +54,19 @@ from .exactmath import cyclotomic_polynomial, monic_divmod
 from .value import Value
 
 
+#: Largest eigenvalue level a profile may have, and largest m of a dihedral
+#: cover.  The kernel packs count vectors of `level` digits and cubes them,
+#: and a dihedral spectrum lists up to m - 1 members, so time and memory
+#: grow with the level: `repcrit --profile dihedral:m,1,3` takes under a
+#: second at the cap.  A larger level is refused before anything is built.
+MAX_LEVEL = 10**4
+
+
+def _check_level(level: int, what: str) -> None:
+    if level > MAX_LEVEL:
+        raise DomainError(f"{what} {level} is above the level cap {MAX_LEVEL}")
+
+
 class ConjClass(Value):
     """One conjugacy class: its size and a representative's eigenvalue exponents."""
 
@@ -73,6 +86,7 @@ class ActionProfile(Value):
     def __init__(self, group_order: int, level: int, classes: tuple[ConjClass, ...]):
         if group_order < 1 or level < 1:
             raise ProfileError("group order and level must be positive")
+        _check_level(level, "level")
         if not classes:
             raise ProfileError("profile has no conjugacy classes")
         dims = {len(cls.exps) for cls in classes}
@@ -120,6 +134,7 @@ class CyclicProfile(Value):
     def __init__(self, group_order: int, generator: tuple[int, ...]):
         if group_order < 1:
             raise DomainError("cyclic group order must be positive")
+        _check_level(group_order, "cyclic group order")
         super().__init__(group_order, tuple([e % group_order for e in generator]))
 
     @property
@@ -303,6 +318,7 @@ def _check_dihedral_params(m: int, a: int, b: int) -> None:
         raise DomainError(f"need 0 < a < b < m/2, got (m, a, b) = ({m}, {a}, {b})")
     if math.gcd(m, math.gcd(a, b)) != 1:
         raise DomainError(f"need gcd(m, a, b) = 1, got ({m}, {a}, {b})")
+    _check_level(m, "m =")
 
 
 def dihedral_genus(m: int, a: int, b: int) -> int:

@@ -3,9 +3,10 @@
 These deliberately avoid the production code paths they check: torsion
 enumeration goes through the generic division-polynomial recurrence and a
 rational-root search, invariant dimensions of exterior cubes are
-counted by brute-force triple enumeration, and the group averages of the
+counted by brute-force triple enumeration, the group averages of the
 character kernel are recomputed in cyclotomic-field arithmetic (``CycNum``)
-instead of packed integers.
+instead of packed integers, and the quartic discriminant is recomputed as a
+resultant (``poly_discriminant``) instead of by its closed form.
 """
 
 from __future__ import annotations
@@ -22,15 +23,16 @@ from ceresa_kit.elliptic import (
     point_sort_key,
     torsion_order_q,
 )
-from ceresa_kit.errors import NotRationalError, ProfileError
+from ceresa_kit.errors import DomainError, ProfileError
 from ceresa_kit.exactmath import (
-    CycNum,
+    RatLike,
     UPoly,
-    cyc_to_rational,
+    cyclotomic_polynomial,
     rat,
     rational_sqrt,
 )
 from ceresa_kit.repcrit import ActionProfile, ConjClass
+from ceresa_kit.value import Value
 
 # psi_n is represented as (g, parity) with psi_n = g(x) * y^parity and
 # y^2 reduced to x^3 + Ax + B.
@@ -142,6 +144,38 @@ def rational_roots(p: UPoly) -> set[Fraction]:
     return roots
 
 
+def resultant(p: UPoly, q: UPoly) -> Fraction:
+    """Resultant of two polynomials by the Euclidean remainder sequence.
+
+    Uses Res(A, B) = lc(A)^(deg B - deg R) * Res(A, R) for R = B mod A and
+    the swap rule Res(A, B) = (-1)^(deg A * deg B) * Res(B, A).
+    """
+    if p.is_zero() or q.is_zero():
+        return Fraction(0)
+    dp, dq = p.degree(), q.degree()
+    if dq == 0:
+        return q.lc() ** dp
+    if dp == 0:
+        return p.lc() ** dq
+    if dp < dq:
+        sign = -1 if (dp * dq) % 2 else 1
+        return sign * resultant(q, p)
+    r = p % q
+    if r.is_zero():
+        return Fraction(0)
+    sign = -1 if (dp * dq) % 2 else 1
+    return sign * q.lc() ** (dp - r.degree()) * resultant(q, r)
+
+
+def poly_discriminant(p: UPoly) -> Fraction:
+    """Discriminant via disc(p) = (-1)^(d(d-1)/2) * Res(p, p') / lc(p)."""
+    d = p.degree()
+    if d < 1:
+        raise DomainError("discriminant requires degree >= 1")
+    sign = -1 if (d * (d - 1) // 2) % 2 else 1
+    return sign * resultant(p, p.derivative()) / p.lc()
+
+
 def torsion_points_bruteforce(A, B) -> list[ECPoint]:
     """Full rational torsion subgroup of y^2 = x^3 + Ax + B.
 
@@ -197,6 +231,107 @@ def wedge3_invariants_bruteforce(exps, level: int) -> int:
 def invariants_bruteforce(exps, level: int) -> int:
     """Count exponents divisible by the level (cyclic invariant dimension)."""
     return sum(1 for e in exps if e % level == 0)
+
+
+class NotRationalError(DomainError):
+    """A cyclotomic number was asked to convert to a rational but is not one."""
+
+
+class CycNum(Value):
+    """An element of the cyclotomic field of the given level.
+
+    ``rep`` is the unique representative of degree < phi(level) modulo the
+    level's cyclotomic polynomial; the constructor reduces whatever it is
+    given.  Supports +, -, *, ** and scalar mixing with rationals.  Equality
+    also holds against rationals, so instances are unhashable.
+    """
+
+    __slots__ = _fields = ("level", "rep")
+    level: int
+    rep: UPoly
+
+    def __init__(self, level: int, rep: UPoly):
+        if level < 1:
+            raise DomainError("cyclotomic level must be positive")
+        super().__init__(level, rep % cyclotomic_polynomial(level))
+
+    @classmethod
+    def from_rational(cls, value: RatLike, level: int = 1) -> CycNum:
+        return cls(level, UPoly.const(rat(value)))
+
+    def _lift(self, level: int) -> CycNum:
+        if level == self.level:
+            return self
+        assert level % self.level == 0
+        return CycNum(level, self.rep.compose_xpow(level // self.level))
+
+    def _pair(self, other: CycNum | RatLike) -> tuple[CycNum, CycNum]:
+        if not isinstance(other, CycNum):
+            other = CycNum.from_rational(rat(other), self.level)
+        m = math.lcm(self.level, other.level)
+        return self._lift(m), other._lift(m)
+
+    def __add__(self, other: CycNum | RatLike) -> CycNum:
+        a, b = self._pair(other)
+        return CycNum(a.level, a.rep + b.rep)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: CycNum | RatLike) -> CycNum:
+        a, b = self._pair(other)
+        return CycNum(a.level, a.rep - b.rep)
+
+    def __rsub__(self, other: CycNum | RatLike) -> CycNum:
+        a, b = self._pair(other)
+        return CycNum(a.level, b.rep - a.rep)
+
+    def __neg__(self) -> CycNum:
+        return CycNum(self.level, -self.rep)
+
+    def __mul__(self, other: CycNum | RatLike) -> CycNum:
+        a, b = self._pair(other)
+        return CycNum(a.level, a.rep * b.rep)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> CycNum:
+        if n < 0:
+            raise ValueError("negative power not supported")
+        result = CycNum.from_rational(1, self.level)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (Fraction, int)):
+            other = CycNum.from_rational(other, self.level)
+        if not isinstance(other, CycNum):
+            return NotImplemented
+        a, b = self._pair(other)
+        return a.rep == b.rep
+
+    def is_rational(self) -> bool:
+        return self.rep.degree() <= 0
+
+    def __str__(self) -> str:
+        return f"CycNum(level={self.level}, {self.rep})"
+
+    __repr__ = __str__
+
+
+def cyc_to_rational(z: CycNum) -> Fraction:
+    """Extract the rational value of a degree-0 cyclotomic number.
+
+    Correct because powers of the root of unity below phi(level) form a
+    basis, so a reduced representative of positive degree is irrational.
+    """
+    if not z.is_rational():
+        raise NotRationalError(f"not rational: {z}")
+    return z.rep.coeff(0)
 
 
 def root_of_unity(level: int, exponent: int) -> CycNum:

@@ -15,9 +15,10 @@ from fractions import Fraction
 from ceresa_kit import ceresa, elliptic, repcrit, strata
 from ceresa_kit.ceresa import PicardCurve, decide, family_generate
 from ceresa_kit.elliptic import INFINITY, WeierstrassCurve, affine, scalar_mul
-from ceresa_kit.exactmath import UPoly, poly_discriminant
+from ceresa_kit.exactmath import UPoly
 from ceresa_kit.quartic import DepressedQuartic, invariants
 from oracles import (
+    poly_discriminant,
     random_rational,
     torsion_points_bruteforce,
     wedge3_invariants_bruteforce,

@@ -20,10 +20,18 @@ from ceresa_kit.ceresa import (
     scan_csv_lines,
     verdict_to_json,
 )
-from ceresa_kit.elliptic import INFINITY, affine, negate, torsion_order_q, velu_3isogeny
+from ceresa_kit.elliptic import (
+    INFINITY,
+    WeierstrassCurve,
+    affine,
+    negate,
+    torsion_order_q,
+    velu_3isogeny,
+)
 from ceresa_kit.errors import DomainError
+from ceresa_kit.exactmath import UPoly
 from ceresa_kit.quartic import DepressedQuartic, gm_scale, invariants
-from oracles import random_rational
+from oracles import poly_discriminant, random_rational
 
 
 def test_picard_curve_rejects_singular_quartics():
@@ -48,6 +56,25 @@ def test_picard_invariant_point_examples():
     data = picard_invariant_point(PicardCurve.from_coefficients(0, 0, -1))
     assert data.point_doubled == affine(-12, 0)
     assert torsion_order_q(data.short_curve, data.point_short) == 2
+
+    # Both models, against closed-form invariants and the resultant oracle.
+    rng = random.Random(37)
+    checked = 0
+    while checked < 200:
+        a, b, c = (random_rational(rng) for _ in range(3))
+        disc = poly_discriminant(UPoly([c, b, a, 0, 1]))
+        if disc == 0:
+            continue
+        inv_i, inv_j = a * a + 12 * c, 72 * a * c - 2 * a**3 - 27 * b * b
+        data = picard_invariant_point(PicardCurve.from_coefficients(a, b, c))
+        assert data.point_doubled == affine(inv_i, inv_j)
+        assert data.point_short == affine(4 * inv_i, 4 * inv_j)
+        assert data.doubled_d == -27 * disc
+        assert data.short_curve == WeierstrassCurve(0, 16 * data.doubled_d)
+        p = data.point_doubled
+        assert p.y ** 2 == 4 * p.x ** 3 + data.doubled_d
+        assert data.short_curve.contains(data.point_short)
+        checked += 1
 
 
 def test_decide_examples():

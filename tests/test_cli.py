@@ -11,6 +11,7 @@ import pytest
 
 from ceresa_kit import DepressedQuartic, cli, invariants, repcrit
 from ceresa_kit.cli import main
+from ceresa_kit.errors import DomainError
 from ceresa_kit.exactmath import MAX_LITERAL_CHARS
 
 
@@ -161,6 +162,39 @@ def test_dihedral_text_output(capsys):
                        "--format", "json")
     assert payload == {"m": 9, "a": 1, "b": 3, "genus": 6, "vanishing": True,
                        "witness_triple": None}
+
+
+def level_profile(tmp_path, level: int) -> str:
+    path = tmp_path / f"level{level}.json"
+    path.write_text(json.dumps({
+        "group_order": 1, "level": level, "classes": [{"size": 1, "exps": [0, 0, 0]}],
+    }))
+    return str(path)
+
+
+def test_level_above_the_cap_is_refused_before_anything_is_built(capsys, tmp_path):
+    huge = 10**11
+    for argv in (("dihedral", "-m", str(huge), "-a", "1", "-b", "3"),
+                 ("repcrit", "--profile", f"dihedral:{huge},1,3"),
+                 ("repcrit", "--profile", level_profile(tmp_path, 10**12))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        assert err.count("\n") == 1 and f"above the level cap {repcrit.MAX_LEVEL}" in err
+
+
+def test_level_at_the_cap_is_accepted(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(repcrit, "MAX_LEVEL", 12)
+    for m in (12, 13):
+        code, _, err = run(capsys, "dihedral", "-m", str(m), "-a", "1", "-b", "5")
+        assert code == (0 if m == 12 else 2)
+        code, _, err = run(capsys, "repcrit", "--profile", f"dihedral:{m},1,5")
+        assert code == (0 if m == 12 else 2)
+        code, _, err = run(capsys, "repcrit", "--profile", level_profile(tmp_path, m))
+        assert code == (0 if m == 12 else 2)
+    assert err.endswith("level 13 is above the level cap 12\n")
+    assert repcrit.cyclic_profile(12, (1, 2, 3)).level == 12
+    with pytest.raises(DomainError, match="cyclic group order 13 is above the level cap 12"):
+        repcrit.cyclic_profile(13, (1, 2, 3))
 
 
 def test_strata_subcommand(capsys):

@@ -11,7 +11,6 @@ from ceresa_kit.elliptic import (
     WeierstrassCurve,
     add,
     affine,
-    from_doubled_model,
     negate,
     rational_torsion_j0,
     scalar_mul,
@@ -35,23 +34,6 @@ def test_curve_construction_rejects_singular():
         WeierstrassCurve(0, 0)
     with pytest.raises(DomainError):
         WeierstrassCurve(-3, 2)  # 4*(-27) + 27*4 = 0
-
-
-def test_from_doubled_model_examples():
-    short, mp = from_doubled_model(-27)
-    assert short == WeierstrassCurve(0, -432)
-    assert mp.apply(affine(3, 9)) == affine(12, 36)
-    assert short.contains(affine(12, 36))
-
-    short2, mp2 = from_doubled_model(-27 * 144)
-    assert short2 == WeierstrassCurve(0, -62208)
-    assert mp2.apply(affine(13, 70)) == affine(52, 280)
-    assert mp2.unapply(affine(52, 280)) == affine(13, 70)
-
-    with pytest.raises(DomainError):
-        from_doubled_model(0)
-    with pytest.raises(DomainError):
-        mp.apply(affine(1, 1))  # not on y^2 = 4x^3 - 27
 
 
 def test_add_examples():

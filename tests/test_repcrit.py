@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ceresa_kit.errors import DomainError, ProfileError
-from ceresa_kit.exactmath import UPoly, cyc_to_rational
+from ceresa_kit.exactmath import UPoly
 from ceresa_kit.repcrit import (
     ActionProfile,
     ConjClass,
@@ -25,6 +25,7 @@ from ceresa_kit.repcrit import (
 )
 from oracles import (
     char_power,
+    cyc_to_rational,
     invariant_dim_cyclotomic,
     invariants_bruteforce,
     wedge3_dim_cyclotomic,

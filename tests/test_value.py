@@ -16,7 +16,6 @@ from ceresa_kit import (
     ActionProfile,
     ChowVerdict,
     ConjClass,
-    CycNum,
     DepressedQuartic,
     ECPoint,
     PicardCurve,
@@ -24,13 +23,13 @@ from ceresa_kit import (
     WeierstrassCurve,
     cyclic_profile,
     decide,
-    from_doubled_model,
     invariants,
     picard_invariant_point,
     scan,
     stratum_info,
     velu_3isogeny,
 )
+from oracles import CycNum
 
 CURVE = PicardCurve.from_coefficients(-12, 1, -12)
 
@@ -42,9 +41,6 @@ RECORDS = [
     (ECPoint(None, None), ("x", "y"), "ECPoint(x=None, y=None)"),
     (WeierstrassCurve(0, -432), ("A", "B"),
      "WeierstrassCurve(A=Fraction(0, 1), B=Fraction(-432, 1))"),
-    (from_doubled_model(-27)[1], ("D", "short"),
-     "DoubledModelMap(D=Fraction(-27, 1), "
-     "short=WeierstrassCurve(A=Fraction(0, 1), B=Fraction(-432, 1)))"),
     (velu_3isogeny(2), ("D", "source", "target"),
      "Isogeny3(D=Fraction(2, 1), source=WeierstrassCurve(A=Fraction(0, 1), "
      "B=Fraction(2, 1)), target=WeierstrassCurve(A=Fraction(0, 1), B=Fraction(-54, 1)))"),
