@@ -105,57 +105,33 @@ def _scan_axes(*texts: str) -> list[list[Fraction]]:
     return [list(values) if points else [] for _, values in axes]
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
-
-
-def _cmd_invariants(args) -> int:
+def _cmd_invariants(args) -> tuple[dict, str]:
     inv = invariants(DepressedQuartic(args.a, args.b, args.c))
-    if args.format == "json":
-        _print_json(inv.to_json())
-    else:
-        print(f"I = {inv.I}")
-        print(f"J = {inv.J}")
-        print(f"disc = {inv.disc}")
-    return 0
+    return inv.to_json(), f"I = {inv.I}\nJ = {inv.J}\ndisc = {inv.disc}"
 
 
-def _cmd_decide(args) -> int:
+def _cmd_decide(args) -> tuple[dict, str]:
     curve = PicardCurve.from_coefficients(args.a, args.b, args.c)
     verdict = ceresa.decide(curve)
-    if args.format == "json":
-        _print_json(ceresa.verdict_to_json(curve, verdict))
-        return 0
-    inv = verdict.invariants
-    print(f"curve: y^3 = {curve.quartic}")
-    print(f"I = {inv.I}, J = {inv.J}, disc = {inv.disc}")
-    print(f"invariant point (short model y^2 = x^3 + ({-432 * inv.disc})): {verdict.point}")
-    if verdict.chow.torsion:
-        print(f"chow: torsion (point order {verdict.chow.point_order})")
-    else:
-        print("chow: non-torsion")
-    print(f"griffiths: {verdict.griffiths}")
-    return 0
+    inv, chow = verdict.invariants, verdict.chow
+    return ceresa.verdict_to_json(curve, verdict), "\n".join((
+        f"curve: y^3 = {curve.quartic}",
+        f"I = {inv.I}, J = {inv.J}, disc = {inv.disc}",
+        f"invariant point (short model y^2 = x^3 + ({-432 * inv.disc})): {verdict.point}",
+        f"chow: torsion (point order {chow.point_order})" if chow.torsion
+        else "chow: non-torsion",
+        f"griffiths: {verdict.griffiths}",
+    ))
 
 
-def _cmd_torsion(args) -> int:
+def _cmd_torsion(args) -> tuple[dict, str]:
     curve = WeierstrassCurve(args.A, args.B)
     point = affine(args.x, args.y)
     order = torsion_order_q(curve, point)
-    if args.format == "json":
-        _print_json(
-            {
-                "curve": curve.to_json(),
-                "point": point.to_json(),
-                "torsion": order is not None,
-                "order": order,
-            }
-        )
-    elif order is None:
-        print("infinite order (non-torsion over Q)")
-    else:
-        print(f"torsion of order {order}")
-    return 0
+    text = "infinite order (non-torsion over Q)" if order is None else f"torsion of order {order}"
+    document = {"curve": curve.to_json(), "point": point.to_json(),
+                "torsion": order is not None, "order": order}
+    return document, text
 
 
 def _check_member_printable(values) -> None:
@@ -169,38 +145,30 @@ def _check_member_printable(values) -> None:
         )
 
 
-def _cmd_family(args) -> int:
+def _cmd_family(args) -> tuple[dict, str]:
     curve = ceresa.family_generate(args.I, args.J, args.t)
     inv = curve.invariants
     _check_member_printable((*curve.quartic.coefficients(), inv.I, inv.J, inv.disc))
-    if args.format == "json":
-        _print_json({"curve": curve.quartic.to_json(), **inv.to_json()})
-    else:
-        print(f"member: y^3 = {curve.quartic}")
-        print(f"I = {inv.I}, J = {inv.J}, disc = {inv.disc}")
-    return 0
+    return (
+        {"curve": curve.quartic.to_json(), **inv.to_json()},
+        f"member: y^3 = {curve.quartic}\nI = {inv.I}, J = {inv.J}, disc = {inv.disc}",
+    )
 
 
-def _cmd_e0_torsion(args) -> int:
+def _cmd_e0_torsion(args) -> tuple[dict, str]:
     points = ceresa.e0_rational_torsion()
-    if args.format == "json":
-        _print_json(
-            {"model": "y^2 = 4x^3 - 27", "points": [p.to_json() for p in points]}
-        )
-    else:
-        print("rational torsion of y^2 = 4x^3 - 27:")
-        for p in points:
-            print(f"  {p}")
-    return 0
+    return (
+        {"model": "y^2 = 4x^3 - 27", "points": [p.to_json() for p in points]},
+        "\n".join(["rational torsion of y^2 = 4x^3 - 27:", *(f"  {p}" for p in points)]),
+    )
 
 
-def _cmd_bielliptic(args) -> int:
+def _cmd_bielliptic(args) -> tuple[dict, str]:
     consistent = ceresa.bielliptic_consistency(args.a, args.c)
-    if args.format == "json":
-        _print_json({"a": str(rat(args.a)), "c": str(rat(args.c)), "consistent": consistent})
-    else:
-        print(f"consistent: {'true' if consistent else 'false'}")
-    return 0
+    return (
+        {"a": str(rat(args.a)), "c": str(rat(args.c)), "consistent": consistent},
+        f"consistent: {'true' if consistent else 'false'}",
+    )
 
 
 def _load_profile(source: str) -> repcrit.Profile:
@@ -216,111 +184,83 @@ def _load_profile(source: str) -> repcrit.Profile:
     return repcrit.profile_from_json(data)
 
 
-def _cmd_repcrit(args) -> int:
+def _cmd_repcrit(args) -> tuple[dict, str]:
     profile = _load_profile(args.profile)
     d_v = repcrit.dim_inv_wedge3(profile, "V")
     d3 = repcrit.dim_inv_wedge3(profile, "H1")
     d1 = repcrit.invariant_dim(profile, "H1")
     crit_a = repcrit.chow_criterion_applies(profile)
     crit_b = repcrit.griffiths_criterion_applies(profile)
-    if args.format == "json":
-        out = {
-            "group_order": profile.group_order,
-            "level": profile.level,
-            "dim_v": profile.dim,
-            "wedge3_v_invariants": d_v,
-            "wedge3_h1_invariants": d3,
-            "h1_invariants": d1,
-            "prim3_invariants": d3 - d1,
-        }
-        if args.criterion in (None, "a"):
-            out["criterion_a"] = crit_a
-        if args.criterion in (None, "b"):
-            out["criterion_b"] = crit_b
-        _print_json(out)
-        return 0
-    print(f"group order {profile.group_order}, level {profile.level}, dim V = {profile.dim}")
-    print(f"dim (wedge^3 V)^G = {d_v}")
-    print(f"dim (wedge^3 H1)^G = {d3}, dim (H1)^G = {d1}, primitive part = {d3 - d1}")
+    document = {
+        "group_order": profile.group_order,
+        "level": profile.level,
+        "dim_v": profile.dim,
+        "wedge3_v_invariants": d_v,
+        "wedge3_h1_invariants": d3,
+        "h1_invariants": d1,
+        "prim3_invariants": d3 - d1,
+    }
+    lines = [
+        f"group order {profile.group_order}, level {profile.level}, dim V = {profile.dim}",
+        f"dim (wedge^3 V)^G = {d_v}",
+        f"dim (wedge^3 H1)^G = {d3}, dim (H1)^G = {d1}, primitive part = {d3 - d1}",
+    ]
     if args.criterion in (None, "a"):
-        print(f"criterion a (chow-level, primitive H^3 invariants vanish): "
-              f"{'holds' if crit_a else 'fails'}")
+        document["criterion_a"] = crit_a
+        lines.append(f"criterion a (chow-level, primitive H^3 invariants vanish): "
+                     f"{'holds' if crit_a else 'fails'}")
     if args.criterion in (None, "b"):
-        print(f"criterion b (griffiths-level, wedge^3 V invariants vanish): "
-              f"{'holds' if crit_b else 'fails'}")
-    return 0
+        document["criterion_b"] = crit_b
+        lines.append(f"criterion b (griffiths-level, wedge^3 V invariants vanish): "
+                     f"{'holds' if crit_b else 'fails'}")
+    return document, "\n".join(lines)
 
 
-def _cmd_dihedral(args) -> int:
+def _cmd_dihedral(args) -> tuple[dict, str]:
     genus, witness = repcrit.dihedral_criterion(args.m, args.a, args.b)
-    vanishing = witness is None
-    if args.format == "json":
-        _print_json(
-            {
-                "m": args.m,
-                "a": args.a,
-                "b": args.b,
-                "genus": genus,
-                "vanishing": vanishing,
-                "witness_triple": list(witness) if witness else None,
-            }
-        )
-        return 0
-    if vanishing:
-        print(f"genus {genus}; (⋀³V)^{{D_{args.m}}} = 0: criterion holds")
-    else:
-        n1, n2, n3 = witness
-        print(
-            f"genus {genus}; (⋀³V)^{{D_{args.m}}} ≠ 0: "
-            f"criterion fails (triple {n1}+{n2}+{n3})"
-        )
-    return 0
+    head = f"genus {genus}; (⋀³V)^{{D_{args.m}}}"
+    text = (f"{head} = 0: criterion holds" if witness is None
+            else f"{head} ≠ 0: criterion fails (triple {'+'.join(map(str, witness))})")
+    document = {"m": args.m, "a": args.a, "b": args.b, "genus": genus,
+                "vanishing": witness is None,
+                "witness_triple": list(witness) if witness else None}
+    return document, text
 
 
-def _strata_text_row(record: strata.StratumRecord) -> str:
-    return (
-        f"{record.label:<7} {record.dim:>3}   "
-        f"{'yes' if record.chow_torsion else 'no':<5} "
-        f"{'yes' if record.griffiths_torsion else 'no':<10} "
-        f"{record.gap_label or '-':<9} {record.model_equation or '-'}"
+def _strata_table(records: list[strata.StratumRecord]) -> str:
+    rows = (
+        f"{r.label:<7} {r.dim:>3}   "
+        f"{'yes' if r.chow_torsion else 'no':<5} "
+        f"{'yes' if r.griffiths_torsion else 'no':<10} "
+        f"{r.gap_label or '-':<9} {r.model_equation or '-'}"
+        for r in records
     )
+    return "\n".join(["label    dim   chow  griffiths  gap       model", *rows])
 
 
-def _cmd_strata(args) -> int:
+def _cmd_strata(args) -> tuple[dict, str]:
     if args.check:
         consistent = strata.verdict_consistency()
-        if args.format == "json":
-            _print_json({"consistent": consistent})
-        else:
-            print(f"consistency: {'ok' if consistent else 'FAILED'}")
-        return 0
+        return {"consistent": consistent}, f"consistency: {'ok' if consistent else 'FAILED'}"
     if args.group is not None:
         record = strata.stratum_info(args.group)
-        if args.format == "json":
-            _print_json(record.to_json())
-        else:
-            print("label    dim   chow  griffiths  gap       model")
-            print(_strata_text_row(record))
-        return 0
+        return record.to_json(), _strata_table([record])
     records = [strata.stratum_info(label) for label in strata.labels()]
-    if args.format == "json":
-        _print_json({"strata": [r.to_json() for r in records]})
-    else:
-        print("label    dim   chow  griffiths  gap       model")
-        for record in records:
-            print(_strata_text_row(record))
-    return 0
+    return {"strata": [r.to_json() for r in records]}, _strata_table(records)
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> None:
     records = ceresa.scan(*_scan_axes(args.a_range, args.b_range, args.c_range))
     payload = "\n".join(ceresa.scan_csv_lines(records)) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(payload)
-    else:
+    if not args.out:
         sys.stdout.write(payload)
-    return 0
+        return
+    try:
+        handle = open(args.out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DomainError(f"cannot write {args.out!r}: {exc.strerror}") from exc
+    with handle:
+        handle.write(payload)
 
 
 def _arg(*flags: str, **options) -> tuple:
@@ -417,10 +357,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return 0 if exc.code in (None, 0) else int(exc.code)
     try:
-        return args.handler(args)
+        result = args.handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if result is not None:  # scan writes its CSV itself
+        document, text = result
+        print(json.dumps(document, indent=2) if args.format == "json" else text)
+    return 0
 
 
 if __name__ == "__main__":

@@ -173,7 +173,7 @@ def profile_from_json(data: dict) -> ActionProfile:
         )
         order, level = _json_int(data["group_order"]), _json_int(data["level"])
         return ActionProfile(order, level, classes)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:  # a wrong shape; ActionProfile's errors pass
         raise ProfileError(f"malformed profile JSON: {exc}") from exc
 
 
@@ -359,10 +359,10 @@ def dihedral_witness_triple(m: int, a: int, b: int) -> tuple[int, int, int] | No
 
 def dihedral_criterion(m: int, a: int, b: int) -> tuple[int, tuple[int, int, int] | None]:
     """Genus of the cover and its witness triple, None when the criterion holds."""
-    genus = dihedral_genus(m, a, b)
-    if genus < 3:
-        raise DomainError("criterion needs genus >= 3")
-    return genus, dihedral_witness_triple(m, a, b)
+    # The genus is at least 3, as the criterion needs: 0 < a < b < m/2 makes
+    # gcd(a, m) and gcd(b, m) divisors of m below m/2, so each is at most
+    # m/3, and m + 1 - gcd(a, m) - gcd(b, m) >= m/3 + 1 > 2 since m >= 5.
+    return dihedral_genus(m, a, b), dihedral_witness_triple(m, a, b)
 
 
 def dihedral_vanishing(m: int, a: int, b: int) -> bool:

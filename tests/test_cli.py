@@ -3,13 +3,26 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
+import re
 import sys
 import time
 from fractions import Fraction
 
 import pytest
 
-from ceresa_kit import DepressedQuartic, cli, invariants, repcrit
+from ceresa_kit import (
+    DepressedQuartic,
+    PicardCurve,
+    WeierstrassCurve,
+    bielliptic_consistency,
+    cli,
+    decide,
+    family_generate,
+    invariants,
+    repcrit,
+    torsion_order_q,
+)
 from ceresa_kit.cli import main
 from ceresa_kit.errors import DomainError
 from ceresa_kit.exactmath import MAX_LITERAL_CHARS
@@ -416,3 +429,117 @@ def test_single_command_parser_matches_full_parser(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err == f"usage error: {expected.value}\n" + full_parser.format_usage()
+
+
+def test_scan_out_to_an_unwritable_path_is_a_domain_error(capsys, tmp_path):
+    argv = ["scan", "--a-range", "0", "--b-range", "0", "--c-range", "1"]
+    for path in (tmp_path / "missing" / "x.csv", tmp_path):  # no parent; a directory
+        with pytest.raises(OSError) as expected:
+            open(path, "w")
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {str(path)!r}: {expected.value.strerror}\n"
+
+
+def test_profile_validation_errors_keep_their_own_message(capsys, tmp_path):
+    sizes = tmp_path / "sizes.json"
+    sizes.write_text(json.dumps({"group_order": 3, "level": 3, "classes": [
+        {"size": 1, "exps": [0, 0, 0]}, {"size": 1, "exps": [1, 1, 2]}]}))
+    for path, message in (
+        (level_profile(tmp_path, 10**12),
+         f"level {10**12} is above the level cap {repcrit.MAX_LEVEL}"),
+        (str(sizes), "class sizes do not sum to the group order"),
+    ):
+        code, out, err = run(capsys, "repcrit", "--profile", path)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# A valid call of each subcommand that has rational (or range) flags.
+VALID_CALLS = {
+    "invariants": ["-a", "1", "-b", "0", "-c", "1"],
+    "decide": ["-a", "1", "-b", "0", "-c", "1"],
+    "torsion": ["-A", "0", "-B", "-432", "-x", "12", "-y", "36"],
+    "family": ["-I", "3", "-J", "9", "-t", "0"],
+    "bielliptic": ["-a", "1", "-c", "1"],
+    "dihedral": ["-m", "7", "-a", "1", "-b", "2"],
+    "scan": ["--a-range", "0", "--b-range", "1", "--c-range", "1"],
+}
+
+
+def test_negative_value_after_a_space_or_an_equals_sign_gives_the_same_output(capsys):
+    seen = set()
+    for name, _, _, arguments in cli._COMMANDS:
+        for flag in (flags[0] for flags, _ in arguments if flags[0] in cli._VALUE_FLAGS):
+            seen.add(name)
+            base = VALID_CALLS[name]
+            at = base.index(flag)
+            for fmt in ([], ["--format", "json"]) if name != "scan" else ([],):
+                before, after = [name, *base[:at]], [*base[at + 2:], *fmt]
+                spaced = run(capsys, *before, flag, "-12/7", *after)
+                assert spaced == run(capsys, *before, f"{flag}=-12/7", *after)
+    assert seen == VALID_CALLS.keys()
+
+
+def _rationals(node):
+    """`node` with every "p/q" string leaf read as a Fraction."""
+    if isinstance(node, dict):
+        return {key: _rationals(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_rationals(value) for value in node]
+    if isinstance(node, str) and re.fullmatch(r"-?\d+(/\d+)?", node):
+        return Fraction(node)
+    return node
+
+
+def _point(p):
+    return "infinity" if p.is_infinity else {"x": p.x, "y": p.y}
+
+
+def test_json_rationals_parse_back_to_the_library_values(capsys):
+    rng = random.Random(20)
+
+    def rational():
+        digits = rng.choice((2, 2, 2, 20))
+        return Fraction(rng.randint(-10**digits, 10**digits), rng.randint(1, 10**(digits // 2)))
+
+    checked = 0
+    for _ in range(40):
+        a, b, c = rational(), rational(), rational()
+        coeffs = ["-a", str(a), "-b", str(b), "-c", str(c)]
+        inv = invariants(DepressedQuartic(a, b, c))
+        expected = {"I": inv.I, "J": inv.J, "disc": inv.disc}
+        assert _rationals(run_json(capsys, "invariants", *coeffs, "--format", "json")) == expected
+        if inv.disc == 0:
+            continue
+        verdict = decide(PicardCurve.from_coefficients(a, b, c))
+        payload = run_json(capsys, "decide", *coeffs, "--format", "json")
+        assert _rationals(payload) == {
+            "curve": {"a": a, "b": b, "c": c}, **expected, "P": _point(verdict.point),
+            "chow": verdict.chow.to_json(), "griffiths": verdict.griffiths}
+        short_b = -432 * inv.disc
+        payload = run_json(capsys, "torsion", "-A", "0", "-B", str(short_b),
+                           "-x", str(verdict.point.x), "-y", str(verdict.point.y),
+                           "--format", "json")
+        order = torsion_order_q(WeierstrassCurve(0, short_b), verdict.point)
+        assert _rationals(payload) == {
+            "curve": {"A": 0, "B": short_b}, "point": _point(verdict.point),
+            "torsion": order is not None, "order": order}
+        try:
+            consistent = bielliptic_consistency(a, c)
+        except DomainError:  # singular or degenerate at b = 0
+            pass
+        else:
+            payload = run_json(capsys, "bielliptic", "-a", str(a), "-c", str(c),
+                               "--format", "json")
+            assert _rationals(payload) == {"a": a, "c": c, "consistent": consistent}
+        checked += 1
+    assert checked >= 30
+    for j in ("9", "-9"):
+        for _ in range(10):
+            t = rational()
+            member = family_generate(3, j, t)
+            payload = run_json(capsys, "family", "-I", "3", "-J", j, "-t", str(t),
+                               "--format", "json")
+            q, inv = member.quartic, member.invariants
+            assert _rationals(payload) == {"curve": {"a": q.a, "b": q.b, "c": q.c},
+                                           "I": inv.I, "J": inv.J, "disc": inv.disc}

@@ -153,6 +153,15 @@ def test_dihedral_genus_examples():
         dihedral_genus(5, 2, 1)  # a >= b
 
 
+def test_dihedral_genus_is_at_least_four():
+    # 0 < a < b < m/2 bounds the genus below, so dihedral_criterion needs no
+    # check that it is at least 3.
+    genera = [dihedral_genus(m, a, b)
+              for m in range(5, 121) for a in range(1, m) for b in range(a + 1, (m + 1) // 2)
+              if math.gcd(m, math.gcd(a, b)) == 1]
+    assert min(genera) == 4 and len(genera) > 10**4
+
+
 def test_dihedral_profile_examples():
     profile = dihedral_profile(5, 1, 2)
     assert profile.classes[1].exps == (1, 2, 3, 4)
