@@ -18,7 +18,7 @@ same torsion verdict.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import product
 
@@ -68,10 +68,7 @@ class ChowVerdict(Value):
         assert torsion == (point_order is not None)
 
     def to_json(self) -> dict:
-        out: dict = {"torsion": self.torsion}
-        if self.torsion:
-            out["point_order"] = self.point_order
-        return out
+        return super().to_json() if self.torsion else {"torsion": False}
 
 
 GRIFFITHS_TORSION = "torsion"
@@ -128,12 +125,9 @@ def decide(curve: PicardCurve) -> CeresaVerdict:
 
 
 def verdict_to_json(curve: PicardCurve, verdict: CeresaVerdict) -> dict:
-    inv = verdict.invariants
     return {
         "curve": curve.quartic.to_json(),
-        "I": str(inv.I),
-        "J": str(inv.J),
-        "disc": str(inv.disc),
+        **verdict.invariants.to_json(),
         "P": verdict.point.to_json(),
         "chow": verdict.chow.to_json(),
         "griffiths": verdict.griffiths,
@@ -206,8 +200,6 @@ VERDICT_TORSION = "torsion"
 VERDICT_NON_TORSION = "non_torsion"
 VERDICT_SKIPPED = "skipped"
 
-SCAN_CSV_HEADER = "a,b,c,I,J,disc,verdict,point_order"
-
 
 class ScanRecord(Value):
     __slots__ = _fields = ("a", "b", "c", "I", "J", "disc", "verdict", "point_order")
@@ -221,8 +213,10 @@ class ScanRecord(Value):
     point_order: int | None
 
     def csv_row(self) -> str:
-        order = "" if self.point_order is None else str(self.point_order)
-        return f"{self.a},{self.b},{self.c},{self.I},{self.J},{self.disc},{self.verdict},{order}"
+        return ",".join("" if value is None else str(value) for value in self._astuple(self))
+
+
+SCAN_CSV_HEADER = ",".join(ScanRecord._fields)
 
 
 def _scan_one(a: Fraction, b: Fraction, c: Fraction) -> ScanRecord:
@@ -242,18 +236,21 @@ def scan(
     a_values: Sequence[RatLike],
     b_values: Sequence[RatLike],
     c_values: Sequence[RatLike],
-) -> list[ScanRecord]:
+) -> Iterator[ScanRecord]:
     """Decide every grid point, in lexicographic (a, b, c) grid order.
 
-    Points with vanishing discriminant are recorded as skipped.
+    The grid is read and checked on the call; each point is decided only
+    when its record is read from the returned iterator.  Points with
+    vanishing discriminant are recorded as skipped.
     """
     grid_a = [rat(v) for v in a_values]
     grid_b = [rat(v) for v in b_values]
     grid_c = [rat(v) for v in c_values]
     if not (grid_a and grid_b and grid_c):
         raise DomainError("empty scan grid")
-    return [_scan_one(a, b, c) for a, b, c in product(grid_a, grid_b, grid_c)]
+    return (_scan_one(a, b, c) for a, b, c in product(grid_a, grid_b, grid_c))
 
 
-def scan_csv_lines(records: Iterable[ScanRecord]) -> list[str]:
-    return [SCAN_CSV_HEADER] + [r.csv_row() for r in records]
+def scan_csv_lines(records: Iterable[ScanRecord]) -> Iterator[str]:
+    yield SCAN_CSV_HEADER
+    yield from map(ScanRecord.csv_row, records)

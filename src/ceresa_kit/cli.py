@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
@@ -53,8 +55,7 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 #: Most points a `scan` grid may have: the product of its axis lengths,
 #: counted before any value is built.  The CLI decides a few hundred points
-#: a second and keeps every row in memory (about 0.6 kB a point on small
-#: coefficients), so a grid at the cap already takes tens of minutes.
+#: a second, so a grid at the cap already takes tens of minutes.
 MAX_SCAN_POINTS = 10**6
 
 
@@ -250,17 +251,22 @@ def _cmd_strata(args) -> tuple[dict, str]:
 
 
 def _cmd_scan(args) -> None:
+    # Every check runs before the output is opened; each row is written once decided.
     records = ceresa.scan(*_scan_axes(args.a_range, args.b_range, args.c_range))
-    payload = "\n".join(ceresa.scan_csv_lines(records)) + "\n"
-    if not args.out:
-        sys.stdout.write(payload)
-        return
     try:
-        handle = open(args.out, "w", encoding="utf-8", newline="")
+        output = (open(args.out, "w", encoding="utf-8", newline="") if args.out
+                  else contextlib.nullcontext(sys.stdout))
     except OSError as exc:
         raise DomainError(f"cannot write {args.out!r}: {exc.strerror}") from exc
-    with handle:
-        handle.write(payload)
+    with output as handle:
+        try:
+            for line in ceresa.scan_csv_lines(records):
+                handle.write(line + "\n")
+            handle.flush()
+        except BrokenPipeError:
+            # The reader closed the pipe (`scan ... | head`): decide no more
+            # points, and send what is still buffered nowhere.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), handle.fileno())
 
 
 def _arg(*flags: str, **options) -> tuple:

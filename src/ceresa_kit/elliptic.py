@@ -36,9 +36,7 @@ class ECPoint(Value):
         return self.x is None
 
     def to_json(self):
-        if self.is_infinity:
-            return "infinity"
-        return {"x": str(self.x), "y": str(self.y)}
+        return "infinity" if self.is_infinity else super().to_json()
 
     def __str__(self) -> str:
         return "infinity" if self.is_infinity else f"({self.x}, {self.y})"
@@ -73,9 +71,6 @@ class WeierstrassCurve(Value):
         if p.is_infinity:
             return True
         return p.y * p.y == p.x**3 + self.A * p.x + self.B
-
-    def to_json(self) -> dict:
-        return {"A": str(self.A), "B": str(self.B)}
 
     def __str__(self) -> str:
         return f"y^2 = x^3 + ({self.A})*x + ({self.B})"

@@ -44,9 +44,6 @@ class DepressedQuartic(Value):
     def is_zero_triple(self) -> bool:
         return self.a == 0 and self.b == 0 and self.c == 0
 
-    def to_json(self) -> dict:
-        return {"a": str(self.a), "b": str(self.b), "c": str(self.c)}
-
     def __str__(self) -> str:
         return f"x^4 + ({self.a})*x^2 + ({self.b})*x + ({self.c})"
 
@@ -56,9 +53,6 @@ class QuarticInvariants(Value):
     I: Fraction
     J: Fraction
     disc: Fraction
-
-    def to_json(self) -> dict:
-        return {"I": str(self.I), "J": str(self.J), "disc": str(self.disc)}
 
 
 def invariants(q: DepressedQuartic) -> QuarticInvariants:

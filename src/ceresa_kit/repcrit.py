@@ -107,15 +107,6 @@ class ActionProfile(Value):
     def dim(self) -> int:
         return len(self.classes[0].exps)
 
-    def to_json(self) -> dict:
-        return {
-            "group_order": self.group_order,
-            "level": self.level,
-            "classes": [
-                {"size": cls.size, "exps": list(cls.exps)} for cls in self.classes
-            ],
-        }
-
 
 class CyclicProfile(Value):
     """A cyclic group of order n acting on V, fixed by its generator.
@@ -152,7 +143,9 @@ class CyclicProfile(Value):
             ConjClass(1, tuple([k * e % n for e in self.generator])) for k in range(n)
         )
 
-    to_json = ActionProfile.to_json
+    def to_json(self) -> dict:
+        classes = [cls.to_json() for cls in self.classes]
+        return {"group_order": self.group_order, "level": self.level, "classes": classes}
 
 
 Profile = ActionProfile | CyclicProfile
@@ -347,6 +340,7 @@ def dihedral_profile(m: int, a: int, b: int) -> CyclicProfile:
 
 def dihedral_witness_triple(m: int, a: int, b: int) -> tuple[int, int, int] | None:
     """First triple n1 < n2 < n3 of spectrum members with n1 + n2 + n3 = m."""
+    _check_dihedral_params(m, a, b)
     spectrum = _epsilon_spectrum(m, a, b)
     members = set(spectrum)
     for i, n1 in enumerate(spectrum):

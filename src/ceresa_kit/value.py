@@ -12,12 +12,16 @@ be a slot.  The base then provides
   * immutability: assigning or deleting an attribute raises
     ``AttributeError``;
   * ``copy`` and ``pickle`` support, by calling the class on the field
-    values again.
+    values again;
+  * ``to_json``: a dict of the fields by name, in ``_fields`` order, with a
+    ``Fraction`` as its ``"p/q"`` string, a tuple as a list and a nested
+    record as its own ``to_json()``.
 
 A class that validates or normalises its input overrides ``__init__``,
 calls ``super().__init__`` and stores anything derived with
 ``object.__setattr__``.  A slot left out of ``_fields`` takes no part in
-equality, hashing, repr or reconstruction.
+equality, hashing, repr, reconstruction or JSON; a class whose JSON
+differs from its fields overrides ``to_json``.
 
 The ``dataclasses`` module would do the same, but importing it loads
 ``inspect`` (and with it ``ast``, ``dis`` and ``tokenize``), and each frozen
@@ -27,6 +31,7 @@ of the start-up time of every ``ceresa-kit`` call.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import attrgetter
 
 
@@ -75,3 +80,14 @@ class Value:
 
     def __reduce__(self):
         return self.__class__, self._astuple(self)
+
+    def to_json(self) -> dict:
+        return {name: _json(value) for name, value in zip(self._fields, self._astuple(self))}
+
+
+def _json(value):
+    if isinstance(value, Value):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [_json(item) for item in value]
+    return str(value) if isinstance(value, Fraction) else value

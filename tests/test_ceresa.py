@@ -230,15 +230,15 @@ def test_decide_commutes_with_weighted_scaling():
 
 
 def test_scan_examples():
-    records = scan([-12], [1, 2, 3], [-12])
+    records = list(scan([-12], [1, 2, 3], [-12]))
     assert len(records) == 3
     assert all(r.verdict == VERDICT_TORSION and r.point_order == 3 for r in records)
 
-    records = scan([1], [0], [1])
+    records = list(scan([1], [0], [1]))
     assert records[0].verdict == VERDICT_NON_TORSION
     assert records[0].point_order is None
 
-    records = scan([0, 1], [0], [0, 1])
+    records = list(scan([0, 1], [0], [0, 1]))
     skipped = [r for r in records if r.verdict == VERDICT_SKIPPED]
     assert [(r.a, r.b, r.c) for r in skipped] == [(0, 0, 0), (1, 0, 0)]
 
@@ -248,10 +248,10 @@ def test_scan_examples():
 
 def test_scan_order_is_lexicographic():
     grid = ([-1, 0, 1], [0, 1], [-1, 1])
-    base = scan(*grid)
+    base = list(scan(*grid))
     coords = [(r.a, r.b, r.c) for r in base]
     assert coords == sorted(coords)
-    assert scan_csv_lines(base)[0] == "a,b,c,I,J,disc,verdict,point_order"
+    assert next(scan_csv_lines(base)) == "a,b,c,I,J,disc,verdict,point_order"
 
 
 def test_decide_and_scan_evaluate_invariants_once(monkeypatch):
@@ -266,7 +266,7 @@ def test_decide_and_scan_evaluate_invariants_once(monkeypatch):
     assert calls == {(1, 0, 1): 1}
 
     calls.clear()
-    records = scan([-12, 0, 1], [0, 1], [-12, 0, 1])
+    records = list(scan([-12, 0, 1], [0, 1], [-12, 0, 1]))
     assert {r.verdict for r in records} == {VERDICT_TORSION, VERDICT_NON_TORSION,
                                             VERDICT_SKIPPED}
     for r in records:
@@ -313,7 +313,21 @@ def test_scan_records_agree_with_decide():
 
 
 def test_scan_csv_rows():
-    line = scan_csv_lines(scan([-12], [1], [-12]))[1]
+    line = list(scan_csv_lines(scan([-12], [1], [-12])))[1]
     assert line == "-12,1,-12,0,13797,-7050267,torsion,3"
-    line = scan_csv_lines(scan([0], [0], [0]))[1]
+    line = list(scan_csv_lines(scan([0], [0], [0])))[1]
     assert line == "0,0,0,0,0,0,skipped,"
+
+
+def test_scan_returns_before_any_point_is_decided(monkeypatch):
+    calls = Counter()
+
+    def counted(quartic):
+        calls[quartic.coefficients()] += 1
+        return invariants(quartic)
+
+    monkeypatch.setattr("ceresa_kit.ceresa.invariants", counted)
+    records = scan([-12, 1], [1], [-12])
+    assert not calls
+    assert next(records).verdict == VERDICT_TORSION
+    assert calls == {(-12, 1, -12): 1}

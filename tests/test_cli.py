@@ -3,11 +3,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,7 @@ from ceresa_kit import (
     PicardCurve,
     WeierstrassCurve,
     bielliptic_consistency,
+    ceresa,
     cli,
     decide,
     family_generate,
@@ -439,6 +443,57 @@ def test_scan_out_to_an_unwritable_path_is_a_domain_error(capsys, tmp_path):
         code, out, err = run(capsys, *argv, "--out", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: cannot write {str(path)!r}: {expected.value.strerror}\n"
+
+
+def test_scan_out_to_an_unwritable_path_decides_no_point(capsys, monkeypatch, tmp_path):
+    calls = []
+    original = ceresa.decide
+    monkeypatch.setattr(ceresa, "decide", lambda curve: calls.append(curve) or original(curve))
+    argv = ["scan", "--a-range", "-2:2", "--b-range", "-2:2", "--c-range", "1:2"]
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "x.csv"))
+    assert (code, out) == (2, "") and err.startswith("error: cannot write ")
+    assert calls == []
+    # The same grid, written where it can be, decides each smooth point once.
+    path = tmp_path / "x.csv"
+    assert run(capsys, *argv, "--out", str(path))[0] == 0
+    rows = path.read_text().splitlines()[1:]
+    assert len(rows) == 50
+    assert len(calls) == sum(not row.endswith(",skipped,") for row in rows) > 0
+
+
+def test_scan_stops_quietly_when_the_reader_closes_the_pipe():
+    # As `scan ... | head -1`: the reader takes the header and goes.
+    src = str(Path(ceresa.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-c", "import sys; from ceresa_kit.cli import main; sys.exit(main())",
+            "scan", "--a-range", "-10:10", "--b-range", "-10:10", "--c-range", "-10:10"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": src}) as child:
+        assert child.stdout.readline() == b"a,b,c,I,J,disc,verdict,point_order\n"
+        child.stdout.close()
+        start = time.perf_counter()
+        assert child.wait(timeout=60) == 0
+        assert child.stderr.read() == b""
+    # Deciding all 9,261 points takes over 10 s; it stops after a few hundred.
+    assert time.perf_counter() - start < 4
+
+
+@pytest.mark.parametrize("axes, message", [
+    (("1:0", "1", "1"), "empty scan grid"),
+    (("0:1:1/2", "0:3/2:1/2", "1"), "scan grid has more than 6 points"),
+    (("0:1:2:3", "1", "1"), "bad range '0:1:2:3'; expected lo:hi[:step]"),
+    (("0", "0:1:0", "1"), "range step must be nonzero"),
+], ids=["empty", "over-cap", "bad-range", "zero-step"])
+def test_refused_scan_grid_leaves_out_untouched(capsys, monkeypatch, tmp_path, axes, message):
+    monkeypatch.setattr(cli, "MAX_SCAN_POINTS", 6)
+    argv = ["scan", "--a-range", axes[0], "--b-range", axes[1], "--c-range", axes[2]]
+    existing = tmp_path / "existing.csv"
+    existing.write_bytes(b"kept\r\n")
+    absent = tmp_path / "absent.csv"
+    for path in (existing, absent):
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert existing.read_bytes() == b"kept\r\n"
+    assert not absent.exists()
 
 
 def test_profile_validation_errors_keep_their_own_message(capsys, tmp_path):

@@ -13,6 +13,7 @@ from ceresa_kit.repcrit import (
     ConjClass,
     chow_criterion_applies,
     cyclic_profile,
+    dihedral_criterion,
     dihedral_genus,
     dihedral_profile,
     dihedral_vanishing,
@@ -189,6 +190,15 @@ def test_dihedral_vanishing_named_cases():
     assert dihedral_vanishing(15, 3, 5)
     assert not dihedral_vanishing(7, 1, 2)
     assert dihedral_witness_triple(7, 1, 2) == (1, 2, 4)
+
+
+def test_dihedral_witness_triple_refuses_what_dihedral_criterion_refuses():
+    # a > b, gcd(m, a, b) = 2, 2b = m, and an m whose spectrum would never finish
+    for m, a, b in ((7, 2, 1), (12, 2, 4), (6, 1, 3), (10**11, 1, 2)):
+        with pytest.raises(DomainError):
+            dihedral_criterion(m, a, b)
+        with pytest.raises(DomainError):
+            dihedral_witness_triple(m, a, b)
 
 
 def test_dihedral_vanishing_agrees_with_invariant_dimension_up_to_40():

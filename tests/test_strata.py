@@ -50,6 +50,22 @@ def test_stratum_info_examples():
         stratum_info("C5")
 
 
+def test_stratum_json():
+    expected = {
+        "C3": {"label": "C3", "dim": 2, "closure_children": ["C6", "C9"],
+               "chow_torsion": False, "griffiths_torsion": True, "gap_label": None,
+               "model_equation": "y^3 = x^4 + a*x^2 + b*x + c"},
+        "G16": {"label": "G16", "dim": 1, "closure_children": ["G96", "G48"],
+                "chow_torsion": False, "griffiths_torsion": False, "gap_label": "(16,13)",
+                "model_equation": None},
+        "G48": {"label": "G48", "dim": 0, "closure_children": [],
+                "chow_torsion": True, "griffiths_torsion": True, "gap_label": "(48,33)",
+                "model_equation": "y^3 z = x^4 + z^4"},
+    }
+    for label, document in expected.items():
+        assert list(STRATA[label].to_json().items()) == list(document.items())
+
+
 def test_dims_match_the_diagram():
     assert {label: stratum_info(label).dim for label in labels()} == EXPECTED_DIMS
 

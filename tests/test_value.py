@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import json
 import pickle
 import subprocess
 import sys
@@ -29,6 +30,7 @@ from ceresa_kit import (
     stratum_info,
     velu_3isogeny,
 )
+from ceresa_kit.value import Value
 from oracles import CycNum
 
 CURVE = PicardCurve.from_coefficients(-12, 1, -12)
@@ -66,7 +68,7 @@ RECORDS = [
      "short_curve=WeierstrassCurve(A=Fraction(0, 1), B=Fraction(3045715344, 1)), "
      "point_doubled=ECPoint(x=Fraction(0, 1), y=Fraction(13797, 1)), "
      "point_short=ECPoint(x=Fraction(0, 1), y=Fraction(55188, 1)))"),
-    (scan([0], [1], [-1])[0], ("a", "b", "c", "I", "J", "disc", "verdict", "point_order"),
+    (next(scan([0], [1], [-1])), ("a", "b", "c", "I", "J", "disc", "verdict", "point_order"),
      "ScanRecord(a=Fraction(0, 1), b=Fraction(1, 1), c=Fraction(-1, 1), I=Fraction(-12, 1), "
      "J=Fraction(-27, 1), disc=Fraction(-283, 1), verdict='non_torsion', point_order=None)"),
     (ConjClass(2, (0, 1, 2)), ("size", "exps"), "ConjClass(size=2, exps=(0, 1, 2))"),
@@ -137,6 +139,46 @@ def test_copy_deepcopy_and_pickle_round_trips(record, fields):
 @pytest.mark.parametrize("record, expected", [(r, text) for r, _, text in RECORDS], ids=IDS)
 def test_repr_matches_the_dataclass_format(record, expected):
     assert repr(record) == expected
+
+
+# Every record whose class inherits Value.to_json, plus a stratum without
+# GAP label or model equation.
+JSON_RECORDS = [record for record, _, _ in RECORDS
+                if type(record).to_json is Value.to_json] + [stratum_info("Id")]
+
+
+def assert_json_follows_fields(value, document):
+    if isinstance(value, Value) and type(value).to_json is Value.to_json:
+        assert list(document) == list(value._fields)
+        for name, item in zip(value._fields, value._astuple(value)):
+            assert_json_follows_fields(item, document[name])
+    elif isinstance(value, tuple):
+        assert isinstance(document, list) and len(document) == len(value)
+        for item, entry in zip(value, document):
+            assert_json_follows_fields(item, entry)
+    elif isinstance(value, Fraction):
+        assert document == str(value)  # "p/q", exact
+    elif not isinstance(value, Value):
+        assert document == value
+
+
+@pytest.mark.parametrize("record", JSON_RECORDS,
+                         ids=[type(record).__name__ for record in JSON_RECORDS])
+def test_inherited_to_json_writes_the_fields_in_order(record):
+    document = record.to_json()
+    assert_json_follows_fields(record, document)
+    assert json.loads(json.dumps(document)) == document
+
+
+def test_json_records_cover_every_class_inheriting_to_json():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    inheriting = {cls for cls in subclasses(Value)
+                  if cls.__module__.startswith("ceresa_kit.") and cls.to_json is Value.to_json}
+    assert inheriting == {type(record) for record in JSON_RECORDS}
 
 
 def test_readme_verdict_repr():
