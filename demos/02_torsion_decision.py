@@ -7,6 +7,7 @@ bound).  Run with:  python demos/02_torsion_decision.py
 """
 
 from ceresa_kit import PicardCurve, decide, picard_invariant_point
+from ceresa_kit.elliptic import affine
 
 CURVES = [
     ("x^4 + x^2 + 1 (infinite-order invariant point)", (1, 0, 1)),
@@ -17,13 +18,13 @@ CURVES = [
 
 for label, coeffs in CURVES:
     curve = PicardCurve.from_coefficients(*coeffs)
-    data = picard_invariant_point(curve)
+    inv = curve.invariants
+    short_curve, point = picard_invariant_point(curve)
     verdict = decide(curve)
     print(label)
-    print(f"  invariants: I = {data.invariants.I}, J = {data.invariants.J},"
-          f" disc = {data.invariants.disc}")
-    print(f"  P = {data.point_doubled} on y^2 = 4x^3 + ({data.doubled_d})")
-    print(f"  short model: {data.point_short} on {data.short_curve}")
+    print(f"  invariants: I = {inv.I}, J = {inv.J}, disc = {inv.disc}")
+    print(f"  P = {affine(inv.I, inv.J)} on y^2 = 4x^3 + ({-27 * inv.disc})")
+    print(f"  short model: {point} on {short_curve}")
     if verdict.chow.torsion:
         print(f"  chow verdict: torsion, point order {verdict.chow.point_order}")
     else:

@@ -26,12 +26,12 @@ def walk(a, c):
     iso = velu_3isogeny(d_prime)
     image = iso.apply(q)
     scaled = affine(4 * image.x, 8 * image.y)
-    data = picard_invariant_point(PicardCurve.from_coefficients(a, 0, c))
+    short_curve, point = picard_invariant_point(PicardCurve.from_coefficients(a, 0, c))
     print(f"(a, c) = ({a}, {c}):")
     print(f"  Q = {q} on {iso.source}")
     print(f"  3-isogeny image: {image} on {iso.target}")
-    print(f"  rescaled by (4x, 8y): {scaled} on {data.short_curve}")
-    print(f"  invariant point: {data.point_short}")
+    print(f"  rescaled by (4x, 8y): {scaled} on {short_curve}")
+    print(f"  invariant point: {point}")
     print(f"  match up to sign: {bielliptic_consistency(a, c)}")
     print()
 

@@ -90,38 +90,21 @@ class CeresaVerdict(Value):
     point: ECPoint  # invariant point on the short model y^2 = x^3 - 432*disc
 
 
-class PicardPoint(Value):
-    """The invariant point of a Picard curve in both curve models."""
+def picard_invariant_point(curve: PicardCurve) -> tuple[WeierstrassCurve, ECPoint]:
+    """The short model y^2 = x^3 - 432*disc and the invariant point (4I, 4J) on it.
 
-    __slots__ = _fields = (
-        "invariants", "doubled_d", "short_curve", "point_doubled", "point_short"
-    )
-    invariants: QuarticInvariants
-    doubled_d: Fraction  # the D of y^2 = 4x^3 + D, namely -27*disc
-    short_curve: WeierstrassCurve  # y^2 = x^3 - 432*disc
-    point_doubled: ECPoint  # (I, J)
-    point_short: ECPoint  # (4I, 4J)
-
-
-def picard_invariant_point(curve: PicardCurve) -> PicardPoint:
-    """Build (I, J) on y^2 = 4x^3 - 27*disc and its image (4I, 4J) on the short model.
-
-    The map (x, y) -> (4x, 4y) sends y^2 = 4x^3 + D onto y^2 = x^3 + 16D.
+    The map (x, y) -> (4x, 4y) sends (I, J) on y^2 = 4x^3 - 27*disc onto it.
     """
     inv = curve.invariants
-    d = -27 * inv.disc
-    return PicardPoint(
-        inv, d, WeierstrassCurve(0, 16 * d),
-        ECPoint(inv.I, inv.J), ECPoint(4 * inv.I, 4 * inv.J),
-    )
+    return WeierstrassCurve(0, -432 * inv.disc), ECPoint(4 * inv.I, 4 * inv.J)
 
 
 def decide(curve: PicardCurve) -> CeresaVerdict:
     """Chow verdict from the order of the invariant point over Q."""
-    data = picard_invariant_point(curve)
-    order = elliptic.torsion_order_q(data.short_curve, data.point_short)
+    short_curve, point = picard_invariant_point(curve)
+    order = elliptic.torsion_order_q(short_curve, point)
     chow = ChowVerdict(order is not None, order)
-    return CeresaVerdict(chow, GRIFFITHS_TORSION, data.invariants, data.point_short)
+    return CeresaVerdict(chow, GRIFFITHS_TORSION, curve.invariants, point)
 
 
 def verdict_to_json(curve: PicardCurve, verdict: CeresaVerdict) -> dict:
@@ -149,18 +132,18 @@ def bielliptic_consistency(a: RatLike, c: RatLike) -> bool:
     if u == 0:
         raise DomainError("a^2 - 4c = 0: the auxiliary point degenerates")
     curve = PicardCurve.from_coefficients(a, 0, c)  # rejects disc = 0
-    data = picard_invariant_point(curve)
+    short_curve, point = picard_invariant_point(curve)
 
     q = elliptic.affine(u, a * u)
     d_prime = 4 * c * u * u
     iso = elliptic.velu_3isogeny(d_prime)
     image = iso.apply(q)
     if image.is_infinity:
-        return data.point_short.is_infinity
+        return point.is_infinity
     scaled = elliptic.affine(4 * image.x, 8 * image.y)
-    if not data.short_curve.contains(scaled):
+    if not short_curve.contains(scaled):
         return False
-    return scaled in (data.point_short, elliptic.negate(data.point_short))
+    return scaled in (point, elliptic.negate(point))
 
 
 def family_generate(inv_i: RatLike, inv_j: RatLike, t: RatLike) -> PicardCurve:

@@ -106,33 +106,33 @@ def _scan_axes(*texts: str) -> list[list[Fraction]]:
     return [list(values) if points else [] for _, values in axes]
 
 
-def _cmd_invariants(args) -> tuple[dict, str]:
+def _cmd_invariants(args) -> tuple[dict, Iterable[str]]:
     inv = invariants(DepressedQuartic(args.a, args.b, args.c))
-    return inv.to_json(), f"I = {inv.I}\nJ = {inv.J}\ndisc = {inv.disc}"
+    return inv.to_json(), (f"I = {inv.I}", f"J = {inv.J}", f"disc = {inv.disc}")
 
 
-def _cmd_decide(args) -> tuple[dict, str]:
+def _cmd_decide(args) -> tuple[dict, Iterable[str]]:
     curve = PicardCurve.from_coefficients(args.a, args.b, args.c)
     verdict = ceresa.decide(curve)
     inv, chow = verdict.invariants, verdict.chow
-    return ceresa.verdict_to_json(curve, verdict), "\n".join((
+    return ceresa.verdict_to_json(curve, verdict), (
         f"curve: y^3 = {curve.quartic}",
         f"I = {inv.I}, J = {inv.J}, disc = {inv.disc}",
         f"invariant point (short model y^2 = x^3 + ({-432 * inv.disc})): {verdict.point}",
         f"chow: torsion (point order {chow.point_order})" if chow.torsion
         else "chow: non-torsion",
         f"griffiths: {verdict.griffiths}",
-    ))
+    )
 
 
-def _cmd_torsion(args) -> tuple[dict, str]:
+def _cmd_torsion(args) -> tuple[dict, Iterable[str]]:
     curve = WeierstrassCurve(args.A, args.B)
     point = affine(args.x, args.y)
     order = torsion_order_q(curve, point)
     text = "infinite order (non-torsion over Q)" if order is None else f"torsion of order {order}"
     document = {"curve": curve.to_json(), "point": point.to_json(),
                 "torsion": order is not None, "order": order}
-    return document, text
+    return document, (text,)
 
 
 def _check_member_printable(values) -> None:
@@ -146,29 +146,29 @@ def _check_member_printable(values) -> None:
         )
 
 
-def _cmd_family(args) -> tuple[dict, str]:
+def _cmd_family(args) -> tuple[dict, Iterable[str]]:
     curve = ceresa.family_generate(args.I, args.J, args.t)
     inv = curve.invariants
     _check_member_printable((*curve.quartic.coefficients(), inv.I, inv.J, inv.disc))
     return (
         {"curve": curve.quartic.to_json(), **inv.to_json()},
-        f"member: y^3 = {curve.quartic}\nI = {inv.I}, J = {inv.J}, disc = {inv.disc}",
+        (f"member: y^3 = {curve.quartic}", f"I = {inv.I}, J = {inv.J}, disc = {inv.disc}"),
     )
 
 
-def _cmd_e0_torsion(args) -> tuple[dict, str]:
+def _cmd_e0_torsion(args) -> tuple[dict, Iterable[str]]:
     points = ceresa.e0_rational_torsion()
     return (
         {"model": "y^2 = 4x^3 - 27", "points": [p.to_json() for p in points]},
-        "\n".join(["rational torsion of y^2 = 4x^3 - 27:", *(f"  {p}" for p in points)]),
+        ("rational torsion of y^2 = 4x^3 - 27:", *(f"  {p}" for p in points)),
     )
 
 
-def _cmd_bielliptic(args) -> tuple[dict, str]:
+def _cmd_bielliptic(args) -> tuple[dict, Iterable[str]]:
     consistent = ceresa.bielliptic_consistency(args.a, args.c)
     return (
         {"a": str(rat(args.a)), "c": str(rat(args.c)), "consistent": consistent},
-        f"consistent: {'true' if consistent else 'false'}",
+        (f"consistent: {'true' if consistent else 'false'}",),
     )
 
 
@@ -180,12 +180,12 @@ def _load_profile(source: str) -> repcrit.Profile:
             data = json.load(handle)
     except OSError as exc:
         raise DomainError(f"no such preset or profile file: {source!r}") from exc
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # undecodable, too long an integer, too deep
         raise DomainError(f"invalid profile JSON in {source!r}: {exc}") from exc
     return repcrit.profile_from_json(data)
 
 
-def _cmd_repcrit(args) -> tuple[dict, str]:
+def _cmd_repcrit(args) -> tuple[dict, Iterable[str]]:
     profile = _load_profile(args.profile)
     d_v = repcrit.dim_inv_wedge3(profile, "V")
     d3 = repcrit.dim_inv_wedge3(profile, "H1")
@@ -214,10 +214,10 @@ def _cmd_repcrit(args) -> tuple[dict, str]:
         document["criterion_b"] = crit_b
         lines.append(f"criterion b (griffiths-level, wedge^3 V invariants vanish): "
                      f"{'holds' if crit_b else 'fails'}")
-    return document, "\n".join(lines)
+    return document, lines
 
 
-def _cmd_dihedral(args) -> tuple[dict, str]:
+def _cmd_dihedral(args) -> tuple[dict, Iterable[str]]:
     genus, witness = repcrit.dihedral_criterion(args.m, args.a, args.b)
     head = f"genus {genus}; (⋀³V)^{{D_{args.m}}}"
     text = (f"{head} = 0: criterion holds" if witness is None
@@ -225,10 +225,10 @@ def _cmd_dihedral(args) -> tuple[dict, str]:
     document = {"m": args.m, "a": args.a, "b": args.b, "genus": genus,
                 "vanishing": witness is None,
                 "witness_triple": list(witness) if witness else None}
-    return document, text
+    return document, (text,)
 
 
-def _strata_table(records: list[strata.StratumRecord]) -> str:
+def _strata_table(records: list[strata.StratumRecord]) -> Iterable[str]:
     rows = (
         f"{r.label:<7} {r.dim:>3}   "
         f"{'yes' if r.chow_torsion else 'no':<5} "
@@ -236,13 +236,13 @@ def _strata_table(records: list[strata.StratumRecord]) -> str:
         f"{r.gap_label or '-':<9} {r.model_equation or '-'}"
         for r in records
     )
-    return "\n".join(["label    dim   chow  griffiths  gap       model", *rows])
+    return ("label    dim   chow  griffiths  gap       model", *rows)
 
 
-def _cmd_strata(args) -> tuple[dict, str]:
+def _cmd_strata(args) -> tuple[dict, Iterable[str]]:
     if args.check:
         consistent = strata.verdict_consistency()
-        return {"consistent": consistent}, f"consistency: {'ok' if consistent else 'FAILED'}"
+        return {"consistent": consistent}, (f"consistency: {'ok' if consistent else 'FAILED'}",)
     if args.group is not None:
         record = strata.stratum_info(args.group)
         return record.to_json(), _strata_table([record])
@@ -250,23 +250,9 @@ def _cmd_strata(args) -> tuple[dict, str]:
     return {"strata": [r.to_json() for r in records]}, _strata_table(records)
 
 
-def _cmd_scan(args) -> None:
-    # Every check runs before the output is opened; each row is written once decided.
+def _cmd_scan(args) -> tuple[None, Iterable[str]]:
     records = ceresa.scan(*_scan_axes(args.a_range, args.b_range, args.c_range))
-    try:
-        output = (open(args.out, "w", encoding="utf-8", newline="") if args.out
-                  else contextlib.nullcontext(sys.stdout))
-    except OSError as exc:
-        raise DomainError(f"cannot write {args.out!r}: {exc.strerror}") from exc
-    with output as handle:
-        try:
-            for line in ceresa.scan_csv_lines(records):
-                handle.write(line + "\n")
-            handle.flush()
-        except BrokenPipeError:
-            # The reader closed the pipe (`scan ... | head`): decide no more
-            # points, and send what is still buffered nowhere.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), handle.fileno())
+    return None, ceresa.scan_csv_lines(records)
 
 
 def _arg(*flags: str, **options) -> tuple:
@@ -363,13 +349,33 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return 0 if exc.code in (None, 0) else int(exc.code)
     try:
-        result = args.handler(args)
+        document, lines = args.handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if result is not None:  # scan writes its CSV itself
-        document, text = result
-        print(json.dumps(document, indent=2) if args.format == "json" else text)
+    if getattr(args, "format", None) == "json":
+        lines = (json.dumps(document, indent=2),)
+    # The handler has made every check; scan decides each point as its row is written.
+    path = getattr(args, "out", None)
+    try:
+        with (open(path, "w", encoding="utf-8", newline="") if path
+              else contextlib.nullcontext(sys.stdout)) as handle:
+            try:
+                for line in lines:
+                    handle.write(line + "\n")
+                handle.flush()
+            except OSError:
+                # Send what is still buffered nowhere, so that neither closing
+                # the file nor flushing stdout at exit fails a second time.
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, handle.fileno())
+                os.close(devnull)
+                raise
+    except BrokenPipeError:  # the reader closed the pipe (`... | head`)
+        return 0
+    except OSError as exc:
+        print(f"error: cannot write {path or '<stdout>'!r}: {exc.strerror}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -43,21 +43,22 @@ def test_picard_curve_rejects_singular_quartics():
 
 
 def test_picard_invariant_point_examples():
-    data = picard_invariant_point(PicardCurve.from_coefficients(1, 0, 1))
-    assert data.point_doubled == affine(13, 70)
-    assert data.point_short == affine(52, 280)
-    assert data.short_curve.B == -62208
+    short_curve, point = picard_invariant_point(PicardCurve.from_coefficients(1, 0, 1))
+    assert point == affine(52, 280)  # (4I, 4J) for (I, J) = (13, 70)
+    assert short_curve.B == -62208
 
-    data = picard_invariant_point(PicardCurve.from_coefficients(-12, 1, -12))
-    assert data.point_doubled == affine(0, 13797)
-    assert data.doubled_d == Fraction(13797) ** 2  # disc = -J^2/27 when I = 0
-    assert data.point_doubled.y ** 2 == 4 * data.point_doubled.x ** 3 + data.doubled_d
+    curve = PicardCurve.from_coefficients(-12, 1, -12)
+    short_curve, point = picard_invariant_point(curve)
+    assert point == affine(0, 4 * 13797)
+    assert curve.invariants.disc == -Fraction(13797) ** 2 / 27  # disc = -J^2/27 when I = 0
+    assert short_curve == WeierstrassCurve(0, 16 * Fraction(13797) ** 2)
 
-    data = picard_invariant_point(PicardCurve.from_coefficients(0, 0, -1))
-    assert data.point_doubled == affine(-12, 0)
-    assert torsion_order_q(data.short_curve, data.point_short) == 2
+    short_curve, point = picard_invariant_point(PicardCurve.from_coefficients(0, 0, -1))
+    assert point == affine(-48, 0)  # (I, J) = (-12, 0)
+    assert torsion_order_q(short_curve, point) == 2
 
-    # Both models, against closed-form invariants and the resultant oracle.
+    # The short model and its point, against closed-form invariants and the
+    # resultant oracle; (I, J) lies on y^2 = 4x^3 - 27*disc.
     rng = random.Random(37)
     checked = 0
     while checked < 200:
@@ -66,14 +67,13 @@ def test_picard_invariant_point_examples():
         if disc == 0:
             continue
         inv_i, inv_j = a * a + 12 * c, 72 * a * c - 2 * a**3 - 27 * b * b
-        data = picard_invariant_point(PicardCurve.from_coefficients(a, b, c))
-        assert data.point_doubled == affine(inv_i, inv_j)
-        assert data.point_short == affine(4 * inv_i, 4 * inv_j)
-        assert data.doubled_d == -27 * disc
-        assert data.short_curve == WeierstrassCurve(0, 16 * data.doubled_d)
-        p = data.point_doubled
-        assert p.y ** 2 == 4 * p.x ** 3 + data.doubled_d
-        assert data.short_curve.contains(data.point_short)
+        curve = PicardCurve.from_coefficients(a, b, c)
+        short_curve, point = picard_invariant_point(curve)
+        assert (curve.invariants.I, curve.invariants.J) == (inv_i, inv_j)
+        assert point == affine(4 * inv_i, 4 * inv_j)
+        assert short_curve == WeierstrassCurve(0, -432 * disc)
+        assert inv_j ** 2 == 4 * inv_i ** 3 - 27 * disc
+        assert short_curve.contains(point)
         checked += 1
 
 
@@ -123,8 +123,8 @@ def test_bielliptic_consistency_examples():
     # y^2 = x^3 - 972, which rescales to (52, -280) = -P on the short model.
     iso = velu_3isogeny(36)
     assert iso.apply(affine(-3, -3)) == affine(13, -35)
-    data = picard_invariant_point(PicardCurve.from_coefficients(1, 0, 1))
-    assert affine(4 * 13, 8 * -35) == negate(data.point_short)
+    _, point = picard_invariant_point(PicardCurve.from_coefficients(1, 0, 1))
+    assert affine(4 * 13, 8 * -35) == negate(point)
     assert bielliptic_consistency(1, 1)
 
     assert bielliptic_consistency(-12, -12)
@@ -132,8 +132,8 @@ def test_bielliptic_consistency_examples():
     # a = 0 forces y(Q) = 0, so the image is 2-torsion.
     for c in (5, -3, Fraction(7, 2)):
         assert bielliptic_consistency(0, c)
-        data = picard_invariant_point(PicardCurve.from_coefficients(0, 0, c))
-        assert data.point_short.y == 0
+        _, point = picard_invariant_point(PicardCurve.from_coefficients(0, 0, c))
+        assert point.y == 0
 
 
 def test_bielliptic_consistency_domain_errors():

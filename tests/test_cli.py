@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -396,6 +397,15 @@ def test_profile_file_with_an_oversized_integer_is_a_domain_error(capsys, tmp_pa
     assert (code, out) == (2, "") and err.startswith("error: invalid profile JSON in ")
 
 
+def test_profile_file_nested_too_deep_is_a_domain_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "repcrit", "--profile", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: invalid profile JSON in {str(path)!r}: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_json_outputs_are_valid_json(capsys):
     fixtures = [
         ["invariants", "-a", "1", "-b", "2", "-c", "3"],
@@ -475,6 +485,63 @@ def test_scan_stops_quietly_when_the_reader_closes_the_pipe():
         assert child.stderr.read() == b""
     # Deciding all 9,261 points takes over 10 s; it stops after a few hundred.
     assert time.perf_counter() - start < 4
+
+
+# One valid call of each subcommand, in the order of `cli._COMMANDS`.
+ONE_CALL_EACH = {
+    "invariants": ["-a", "1", "-b", "0", "-c", "1"],
+    "decide": ["-a", "-12", "-b", "1", "-c", "-12", "--format", "json"],
+    "torsion": ["-A", "0", "-B", "-432", "-x", "12", "-y", "36"],
+    "family": ["-I", "3", "-J", "9", "-t", "2"],
+    "e0-torsion": [],
+    "bielliptic": ["-a", "1", "-c", "1"],
+    "repcrit": ["--profile", "klein_c7"],
+    "dihedral": ["-m", "7", "-a", "1", "-b", "2", "--format", "json"],
+    "strata": ["--format", "json"],
+    "scan": ["--a-range", "-2:2", "--b-range", "0:1", "--c-range", "1"],
+}
+
+
+def run_child(argv, stdout):
+    """`ceresa-kit argv` in a child process writing to `stdout`."""
+    src = str(Path(ceresa.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from ceresa_kit.cli import main; sys.exit(main())",
+         *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+        timeout=60)
+
+
+def test_one_call_each_covers_every_subcommand():
+    assert list(ONE_CALL_EACH) == [row[0] for row in cli._COMMANDS]
+
+
+@pytest.mark.parametrize("name", ONE_CALL_EACH)
+def test_a_closed_pipe_ends_every_subcommand_quietly(name):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        done = run_child([name, *ONE_CALL_EACH[name]], write_end)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("name", ONE_CALL_EACH)
+def test_a_full_device_is_one_write_error_for_every_subcommand(name):
+    with open("/dev/full", "wb") as full:
+        done = run_child([name, *ONE_CALL_EACH[name]], full)
+    assert done.returncode == 2
+    assert done.stderr.decode() == (
+        f"error: cannot write '<stdout>': {os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_scan_out_to_a_full_device_is_a_write_error(capsys):
+    code, out, err = run(capsys, "scan", *ONE_CALL_EACH["scan"], "--out", "/dev/full")
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write '/dev/full': {os.strerror(errno.ENOSPC)}\n"
 
 
 @pytest.mark.parametrize("axes, message", [

@@ -25,7 +25,6 @@ from ceresa_kit import (
     cyclic_profile,
     decide,
     invariants,
-    picard_invariant_point,
     scan,
     stratum_info,
     velu_3isogeny,
@@ -61,13 +60,6 @@ RECORDS = [
      "CeresaVerdict(chow=ChowVerdict(torsion=True, point_order=3), griffiths='torsion', "
      "invariants=QuarticInvariants(I=Fraction(0, 1), J=Fraction(13797, 1), "
      "disc=Fraction(-7050267, 1)), point=ECPoint(x=Fraction(0, 1), y=Fraction(55188, 1)))"),
-    (picard_invariant_point(CURVE),
-     ("invariants", "doubled_d", "short_curve", "point_doubled", "point_short"),
-     "PicardPoint(invariants=QuarticInvariants(I=Fraction(0, 1), J=Fraction(13797, 1), "
-     "disc=Fraction(-7050267, 1)), doubled_d=Fraction(190357209, 1), "
-     "short_curve=WeierstrassCurve(A=Fraction(0, 1), B=Fraction(3045715344, 1)), "
-     "point_doubled=ECPoint(x=Fraction(0, 1), y=Fraction(13797, 1)), "
-     "point_short=ECPoint(x=Fraction(0, 1), y=Fraction(55188, 1)))"),
     (next(scan([0], [1], [-1])), ("a", "b", "c", "I", "J", "disc", "verdict", "point_order"),
      "ScanRecord(a=Fraction(0, 1), b=Fraction(1, 1), c=Fraction(-1, 1), I=Fraction(-12, 1), "
      "J=Fraction(-27, 1), disc=Fraction(-283, 1), verdict='non_torsion', point_order=None)"),
