@@ -7,6 +7,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
@@ -15,7 +16,7 @@ from . import ceresa, repcrit, strata
 from .ceresa import PicardCurve
 from .elliptic import WeierstrassCurve, affine, torsion_order_q
 from .errors import DomainError, quoted
-from .exactmath import MAX_LITERAL_CHARS, MAX_LITERAL_VALUE, rat
+from .exactmath import max_literal_chars, rat
 from .quartic import DepressedQuartic, invariants
 
 
@@ -24,33 +25,15 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A token that starts "-<digit>" or "-.<digit>" is a value, never a
+        # flag: argparse's own pattern lets "-12" and "-1.5" through but
+        # would refuse the negative rationals "-12/7" and ranges "-2:2".
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
-
-
-# Flags taking rational (or range) values whose arguments may start with a
-# minus sign; "-a -12/7" is rewritten to "-a=-12/7" so the parser never
-# mistakes a negative value for a flag.
-_VALUE_FLAGS = {
-    "-a", "-b", "-c", "-A", "-B", "-x", "-y", "-I", "-J", "-t", "-m",
-    "--a-range", "--b-range", "--c-range",
-}
-
-
-def _merge_negative_values(argv: list[str]) -> list[str]:
-    out: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv):
-            nxt = argv[i + 1]
-            if len(nxt) > 1 and nxt[0] == "-" and nxt[1].isdigit():
-                out.append(f"{tok}={nxt}")
-                i += 2
-                continue
-        out.append(tok)
-        i += 1
-    return out
 
 
 #: Most points a `scan` grid may have: the product of its axis lengths,
@@ -82,14 +65,13 @@ def _parse_axis(text: str) -> tuple[int, Iterable[Fraction]]:
 
 def _range_values(text: str, lo: Fraction, step: Fraction, count: int) -> Iterator[Fraction]:
     # A range value, like a literal, must have numerator and denominator
-    # below 10^MAX_LITERAL_CHARS, so that every scan row can be printed.
+    # below 10^max_literal_chars(), so that every scan row can be printed.
+    cap = max_literal_chars()
+    bound = 10**cap
     v = lo
     for _ in range(count):
-        if max(abs(v.numerator), v.denominator) >= MAX_LITERAL_VALUE:
-            raise DomainError(
-                f"range {quoted(text)} reaches a value of more than "
-                f"{MAX_LITERAL_CHARS} digits"
-            )
+        if max(abs(v.numerator), v.denominator) >= bound:
+            raise DomainError(f"range {quoted(text)} reaches a value of more than {cap} digits")
         yield v
         v += step
 
@@ -294,9 +276,9 @@ _COMMANDS = (
         _FORMAT,
     )),
     ("scan", "decide a coefficient grid, emit CSV", _cmd_scan, (
-        _arg("--a-range", required=True, dest="a_range"),
-        _arg("--b-range", required=True, dest="b_range"),
-        _arg("--c-range", required=True, dest="c_range"),
+        _arg("--a-range", required=True),
+        _arg("--b-range", required=True),
+        _arg("--c-range", required=True),
         _arg("--out", default=None),
         _arg("--threads", type=int, default=None,
              help="accepted and ignored: scan runs in one thread, and its "
@@ -335,7 +317,6 @@ def build_parser(command: str | None = None) -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    argv = _merge_negative_values(list(argv))
     command = argv[0] if argv and argv[0] in _COMMANDS_BY_NAME else None
     parser = build_parser(command)
     try:

@@ -17,6 +17,7 @@ can be shared freely between threads.  There are no floats anywhere.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
@@ -26,16 +27,21 @@ from .value import Value
 
 RatLike = Fraction | int | str
 
-# Longest string literal ``rat`` accepts.  Such a literal has a numerator
-# and a denominator below 10^L.  The printed quantity of highest degree is
-# disc, of weight 12 in (a, b, c) of weights (2, 3, 4); over the lcm of the
-# denominators (at most a^4, b^4 and c^3) its numerator and denominator have
-# at most about 11 L + 3 digits, which for L = 390 stays under CPython's
-# default limit of 4300 digits on int-to-string conversion.  So every value
-# that `invariants`, `decide` and `scan` print for accepted input can be
-# printed.
+# Longest string literal ``rat`` accepts at CPython's default limit of 4300
+# digits on int-to-string conversion.  A literal of L characters has a
+# numerator and a denominator below 10^L.  The printed quantity of highest
+# degree is -432 * disc, disc of weight 12 in (a, b, c) of weights (2, 3, 4);
+# over the lcm of the denominators (at most a^4, b^4 and c^3) its numerator
+# and denominator have at most about 11 L + 6 digits.  `max_literal_chars`
+# lowers the cap to fit a lower limit, so every value that `invariants`,
+# `decide` and `scan` print for accepted input can be printed.
 MAX_LITERAL_CHARS = 390
-MAX_LITERAL_VALUE = 10**MAX_LITERAL_CHARS
+
+
+def max_literal_chars() -> int:
+    """The longest literal ``rat`` accepts under the current int-to-string limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    return min(MAX_LITERAL_CHARS, (limit - 6) // 11) if limit else MAX_LITERAL_CHARS
 
 
 def rat(value: RatLike) -> Fraction:
@@ -44,17 +50,17 @@ def rat(value: RatLike) -> Fraction:
     Floats are rejected: this package never rounds.  Exponent notation
     ("1e500000") is rejected too, since it lets a short literal demand an
     integer of unbounded size, and so is a string longer than
-    ``MAX_LITERAL_CHARS``.
+    ``max_literal_chars()``.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if len(value) > MAX_LITERAL_CHARS:
+        cap = max_literal_chars()
+        if len(value) > cap:
             raise DomainError(
-                f"rational literal {quoted(value)} is longer than "
-                f"{MAX_LITERAL_CHARS} characters"
+                f"rational literal {quoted(value)} is longer than {cap} characters"
             )
         if "e" in value or "E" in value:
             raise DomainError(
@@ -296,7 +302,9 @@ def _stretch(coeffs: list[int], k: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+# Phi_L near the level cap holds thousands of Fractions, so keep only a few
+# levels: the CLI reads one level per call, and a sweep visits them in order.
+@lru_cache(maxsize=16)
 def cyclotomic_polynomial(level: int) -> UPoly:
     """The cyclotomic polynomial of the given level.
 

@@ -61,6 +61,17 @@ def test_negative_flag_values(capsys):
         ["invariants", "-a=-12/1", "-b", "1", "-c=-12", "--format", "json"],
     ):
         assert run_json(capsys, *argv) == expected
+    # A decimal may start "-." after a space, as argparse reads it by itself.
+    assert run(capsys, "invariants", "-a", "-.5", "-b", "0", "-c", "1") == run(
+        capsys, "invariants", "-a", "-1/2", "-b", "0", "-c", "1")
+
+
+def test_a_value_after_any_flag_may_start_with_a_minus_sign(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    argv = ["scan", "--a-range", "-2:2", "--b-range", "-1", "--c-range", "-1:1"]
+    code, out, err = run(capsys, *argv, "--out", "-1.csv")
+    assert (code, out, err) == (0, "", "")
+    assert run(capsys, *argv) == (0, (tmp_path / "-1.csv").read_text(), "")
 
 
 def test_decide_json_example(capsys):
@@ -372,6 +383,31 @@ def test_literal_cap_boundary_on_invariants(capsys):
                        f"is longer than {cap} characters\n")
 
 
+def test_literal_cap_follows_a_lowered_int_to_string_limit():
+    # 640 is the lowest limit CPython accepts; the cap is then (640 - 6) // 11.
+    cap, env = 57, {"PYTHONINTMAXSTRDIGITS": "640"}
+    a = "1/" + "9" * (cap - 2)
+    b = "1/" + "9" * (cap - 3) + "7"
+    c = "1/" + "9" * (cap - 3) + "1"
+    step = "1" + "0" * 27 + "/2" + "0" * 26 + "1"
+    assert {len(a), len(b), len(c), len(step)} == {cap}
+    for argv in (["invariants", "-a", a, "-b", b, "-c", c],
+                 ["decide", "-a", a, "-b", b, "-c", c],
+                 ["decide", "-a", "9" * cap, "-b", "-" + "9" * (cap - 1), "-c", b,
+                  "--format", "json"],
+                 ["scan", "--a-range", a, "--b-range", b, "--c-range", c]):
+        done = run_child(argv, subprocess.PIPE, **env)
+        assert (done.returncode, done.stderr) == (0, b"") and done.stdout
+    # One character over the cap, or a range value over it, is a domain error.
+    for argv in (["invariants", "-a", a + "9", "-b", b, "-c", c],
+                 ["decide", "-a", "1", "-b", "0", "-c", "9" * (cap + 1), "--format", "json"],
+                 ["scan", "--a-range", f"{a}:1:{step}", "--b-range", "1", "--c-range", "1"]):
+        done = run_child(argv, subprocess.PIPE, **env)
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr.startswith(b"error: ") and done.stderr.count(b"\n") == 1
+        assert f"than {cap} ".encode() in done.stderr
+
+
 def test_oversized_literals_exit_with_a_short_domain_error(capsys):
     huge = "1" + "0" * 1100  # disc would exceed Python's int-to-string limit
     for command in ("invariants", "decide"):
@@ -502,13 +538,13 @@ ONE_CALL_EACH = {
 }
 
 
-def run_child(argv, stdout):
-    """`ceresa-kit argv` in a child process writing to `stdout`."""
+def run_child(argv, stdout, **env):
+    """`ceresa-kit argv` in a child process writing to `stdout`, with `env` set."""
     src = str(Path(ceresa.__file__).resolve().parent.parent)
     return subprocess.run(
         [sys.executable, "-c", "import sys; from ceresa_kit.cli import main; sys.exit(main())",
          *argv],
-        stdout=stdout, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+        stdout=stdout, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src, **env},
         timeout=60)
 
 
@@ -584,22 +620,28 @@ VALID_CALLS = {
     "family": ["-I", "3", "-J", "9", "-t", "0"],
     "bielliptic": ["-a", "1", "-c", "1"],
     "dihedral": ["-m", "7", "-a", "1", "-b", "2"],
+    "repcrit": ["--profile", "klein_c7"],
     "scan": ["--a-range", "0", "--b-range", "1", "--c-range", "1"],
 }
 
 
-def test_negative_value_after_a_space_or_an_equals_sign_gives_the_same_output(capsys):
+def test_negative_value_after_a_space_or_an_equals_sign_gives_the_same_output(
+        capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # scan --out names a file here
     seen = set()
     for name, _, _, arguments in cli._COMMANDS:
-        for flag in (flags[0] for flags, _ in arguments if flags[0] in cli._VALUE_FLAGS):
+        value_flags = [flags[0] for flags, options in arguments
+                       if options.get("action") != "store_true"]
+        for flag in value_flags:
             seen.add(name)
-            base = VALID_CALLS[name]
-            at = base.index(flag)
-            for fmt in ([], ["--format", "json"]) if name != "scan" else ([],):
+            base = VALID_CALLS.get(name, [])
+            at = base.index(flag) if flag in base else len(base)
+            json_too = "--format" in value_flags and flag != "--format"
+            for fmt in ([], ["--format", "json"]) if json_too else ([],):
                 before, after = [name, *base[:at]], [*base[at + 2:], *fmt]
                 spaced = run(capsys, *before, flag, "-12/7", *after)
                 assert spaced == run(capsys, *before, f"{flag}=-12/7", *after)
-    assert seen == VALID_CALLS.keys()
+    assert seen == set(cli._COMMANDS_BY_NAME)
 
 
 def _rationals(node):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ceresa_kit.errors import DomainError, ProfileError
-from ceresa_kit.exactmath import UPoly
+from ceresa_kit.exactmath import UPoly, cyclotomic_polynomial
 from ceresa_kit.repcrit import (
     ActionProfile,
     ConjClass,
@@ -213,6 +213,20 @@ def test_dihedral_vanishing_agrees_with_invariant_dimension_up_to_40():
                 assert dihedral_vanishing(m, a, b) == triple_free
                 dim = dim_inv_wedge3(dihedral_profile(m, a, b), "V")
                 assert triple_free == (dim == 0)
+
+
+def test_cyclotomic_cache_stays_bounded_over_a_sweep_of_levels():
+    bound = cyclotomic_polynomial.cache_info().maxsize
+    profiles = [dihedral_profile(m, 1, 3) for m in range(7, 8 + 2 * bound)]
+    assert len({profile.level for profile in profiles}) > bound
+    dim_inv_wedge3.cache_clear()
+    dims = [dim_inv_wedge3(profile, "V") for profile in profiles]
+    assert cyclotomic_polynomial.cache_info().currsize <= bound
+    # The early levels have left the cache; computed again, they agree.
+    dim_inv_wedge3.cache_clear()
+    assert [dim_inv_wedge3(profile, "V") for profile in reversed(profiles)] == dims[::-1]
+    assert [d == 0 for d in dims] == [
+        dihedral_witness_triple(m, 1, 3) is None for m in range(7, 8 + 2 * bound)]
 
 
 def test_profile_json_round_trip():
