@@ -81,9 +81,10 @@ def gm_scale(lam: RatLike, q: DepressedQuartic) -> DepressedQuartic:
     return DepressedQuartic(lam**2 * q.a, lam**3 * q.b, lam**4 * q.c)
 
 
-def _check_moduli_inputs(q1: DepressedQuartic, q2: DepressedQuartic) -> None:
+def _same_zero_pattern(q1: DepressedQuartic, q2: DepressedQuartic) -> bool:
     if q1.is_zero_triple() or q2.is_zero_triple():
         raise DomainError("the zero triple is not a point of P(2,3,4)")
+    return all((x == 0) == (y == 0) for x, y in zip(q1.coefficients(), q2.coefficients()))
 
 
 def moduli_equal_geometric(q1: DepressedQuartic, q2: DepressedQuartic) -> bool:
@@ -94,11 +95,10 @@ def moduli_equal_geometric(q1: DepressedQuartic, q2: DepressedQuartic) -> bool:
     coordinate any value is reachable, since roots of every order exist in
     the closure.
     """
-    _check_moduli_inputs(q1, q2)
+    if not _same_zero_pattern(q1, q2):
+        return False
     a1, b1, c1 = q1.coefficients()
     a2, b2, c2 = q2.coefficients()
-    if ((a1 == 0) != (a2 == 0)) or ((b1 == 0) != (b2 == 0)) or ((c1 == 0) != (c2 == 0)):
-        return False
     if a1 != 0 and b1 != 0 and a1**3 * b2**2 != a2**3 * b1**2:
         return False
     if a1 != 0 and c1 != 0 and a1**2 * c2 != a2**2 * c1:
@@ -115,10 +115,9 @@ def moduli_equal_rational(q1: DepressedQuartic, q2: DepressedQuartic) -> Fractio
     rational candidates (a root extraction); each candidate is verified on
     all three coordinates.
     """
-    _check_moduli_inputs(q1, q2)
-    a1, b1, c1 = q1.coefficients()
-    if ((a1 == 0) != (q2.a == 0)) or ((b1 == 0) != (q2.b == 0)) or ((c1 == 0) != (q2.c == 0)):
+    if not _same_zero_pattern(q1, q2):
         return None
+    a1, b1, c1 = q1.coefficients()
     candidates: list[Fraction] = []
     if a1 != 0:
         r = rational_sqrt(q2.a / a1)

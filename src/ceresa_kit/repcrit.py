@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import DomainError, ProfileError, quoted
 from .exactmath import cyclotomic_polynomial, monic_divmod
@@ -114,11 +114,10 @@ class CyclicProfile(Value):
     ``generator`` holds the generator's eigenvalue exponents, reduced mod n
     on construction; the level is n.  The kernel reads the generator alone.
     ``classes`` lists the n elements g^k as an :class:`ActionProfile` does,
-    built only when read (and kept in the instance ``__dict__``).
+    built each time it is read.
     """
 
-    __slots__ = ("group_order", "generator", "__dict__")
-    _fields = ("group_order", "generator")
+    __slots__ = _fields = ("group_order", "generator")
     group_order: int
     generator: tuple[int, ...]
 
@@ -136,7 +135,7 @@ class CyclicProfile(Value):
     def dim(self) -> int:
         return len(self.generator)
 
-    @cached_property
+    @property
     def classes(self) -> tuple[ConjClass, ...]:
         n = self.group_order
         return tuple(
@@ -370,26 +369,25 @@ def dihedral_vanishing(m: int, a: int, b: int) -> bool:
     return dihedral_criterion(m, a, b)[1] is None
 
 
-#: Order-3 cover automorphism of y^3 = quartic acting on the three
-#: differentials with eigenvalue exponents (1, 1, 2) at level 3.
-PRESET_PICARD_C3 = "picard_c3"
-#: Order-9 automorphism (x, y) -> (zeta^3 x, zeta y) of y^3 = x^4 + x acting
-#: on the basis dx/y^2, x dx/y^2, dx/y with exponents (1, 4, 2) at level 9.
-PRESET_C9 = "c9_x4px"
-#: Order-7 symmetry of the Klein quartic, exponents (1, 2, 4) at level 7.
-PRESET_KLEIN_C7 = "klein_c7"
+#: Built-in cyclic profiles: name -> (group order, generator exponents).
+PRESETS = {
+    # Order-3 cover automorphism of y^3 = quartic acting on the three
+    # differentials with eigenvalue exponents (1, 1, 2) at level 3.
+    "picard_c3": (3, (1, 1, 2)),
+    # Order-9 automorphism (x, y) -> (zeta^3 x, zeta y) of y^3 = x^4 + x acting
+    # on the basis dx/y^2, x dx/y^2, dx/y with exponents (1, 4, 2) at level 9.
+    "c9_x4px": (9, (1, 4, 2)),
+    # Order-7 symmetry of the Klein quartic, exponents (1, 2, 4) at level 7.
+    "klein_c7": (7, (1, 2, 4)),
+}
 
-PRESET_NAMES = (PRESET_PICARD_C3, PRESET_C9, PRESET_KLEIN_C7)
+PRESET_NAMES = tuple(PRESETS)
 
 
 def preset_profile(name: str) -> CyclicProfile:
     """Built-in profiles, plus "dihedral:m,a,b" for the cover families."""
-    if name == PRESET_PICARD_C3:
-        return cyclic_profile(3, (1, 1, 2))
-    if name == PRESET_C9:
-        return cyclic_profile(9, (1, 4, 2))
-    if name == PRESET_KLEIN_C7:
-        return cyclic_profile(7, (1, 2, 4))
+    if name in PRESETS:
+        return cyclic_profile(*PRESETS[name])
     if name.startswith("dihedral:"):
         try:
             m, a, b = (int(part) for part in name.split(":", 1)[1].split(","))

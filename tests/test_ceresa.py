@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ceresa_kit.ceresa import (
     PicardCurve,
@@ -227,6 +228,59 @@ def test_decide_commutes_with_weighted_scaling():
         scaled = decide(PicardCurve(gm_scale(lam, DepressedQuartic(*coeffs))))
         assert base.chow == scaled.chow
         checked += 1
+
+
+def closed_form_point_order(inv_i, inv_j, disc) -> int | None:
+    """Order of (4I, 4J) on y^2 = x^3 - 432*disc, or None for infinite order.
+
+    The rational torsion of a j = 0 curve y^2 = x^3 + D is classified: a
+    point has order 2 when y = 0, order 3 when x = 0 or x^3 = -4D, order 6
+    when x^3 = 8D and infinite order otherwise; with D = -432*disc these
+    read as below.
+    """
+    if inv_j == 0:
+        return 2
+    if inv_i == 0 or inv_i**3 == 27 * disc:
+        return 3
+    if inv_i**3 == -54 * disc:
+        return 6
+    return None
+
+
+def assert_decide_matches_closed_form(quartic: DepressedQuartic) -> int | None:
+    inv = invariants(quartic)
+    order = closed_form_point_order(inv.I, inv.J, inv.disc)
+    assert decide(PicardCurve(quartic)).chow.point_order == order
+    return order
+
+
+coefficients = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coefficients, coefficients, coefficients)
+def test_decide_matches_the_closed_form_on_random_triples(a, b, c):
+    quartic = DepressedQuartic(a, b, c)
+    if invariants(quartic).disc != 0:
+        assert_decide_matches_closed_form(quartic)
+
+
+def test_decide_matches_the_closed_form_on_torsion_curves():
+    order_six = DepressedQuartic(Fraction(-3, 2), Fraction(1, 3), Fraction(-1, 48))
+    rng = random.Random(59)
+    for _ in range(20):
+        a, t = random_rational(rng, 12, 5), random_rational(rng, 12, 5)
+        lam = random_rational(rng, 6, 4) or Fraction(1)
+        if a != 0:
+            quartic = DepressedQuartic(a, 0, a * a / 36)  # J = 0
+            assert assert_decide_matches_closed_form(quartic) == 2
+        for j in (9, -9):
+            quartic = family_generate(3, j, t).quartic
+            assert assert_decide_matches_closed_form(quartic) == 3
+        assert assert_decide_matches_closed_form(gm_scale(lam, order_six)) == 6
 
 
 def test_scan_examples():

@@ -167,18 +167,24 @@ def test_repcrit_cyclic_presets_never_list_classes(capsys, monkeypatch):
     # Cyclic profiles are evaluated from their generator: the n classes are
     # never built on the CLI path.
     built, original = [], repcrit.preset_profile
+    reads, classes = [], repcrit.CyclicProfile.classes
 
     def preset_profile(name):
         built.append(original(name))
         return built[-1]
 
+    def recorded_classes(profile):
+        reads.append(profile)
+        return classes.fget(profile)
+
     monkeypatch.setattr(repcrit, "preset_profile", preset_profile)
+    monkeypatch.setattr(repcrit.CyclicProfile, "classes", property(recorded_classes))
     for name in (*repcrit.PRESET_NAMES, "dihedral:61,1,3"):
         payload = run_json(capsys, "repcrit", "--profile", name, "--format", "json")
-        assert "classes" not in vars(built[-1])
         assert payload["dim_v"] == built[-1].dim
         assert {"criterion_a", "criterion_b", "prim3_invariants"} <= payload.keys()
-    assert len(built) == 4
+    assert len(built) == 4 and reads == []
+    assert len(built[0].classes) == 3 and reads == [built[0]]  # the recorder is live
 
 
 def test_dihedral_text_output(capsys):

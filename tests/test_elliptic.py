@@ -68,6 +68,8 @@ def test_torsion_order_examples():
     e = WeierstrassCurve(0, -432)
     assert torsion_order_q(e, INFINITY) == 1
     assert torsion_order_q(e, affine(12, 36)) == 3
+    with pytest.raises(DomainError, match=r"point \(1, 1\) is not on"):
+        torsion_order_q(e, affine(1, 1))  # checked by the first addition
     e2 = WeierstrassCurve(0, -62208)
     assert torsion_order_q(e2, affine(52, 280)) is None
     for n in range(1, 13):
@@ -89,6 +91,61 @@ def test_torsion_order_divisor_structure():
             for d in range(1, n):
                 if n % d == 0:
                     assert not scalar_mul(curve, d, point).is_infinity
+
+
+def tate_normal_form(b: Fraction, c: Fraction) -> tuple[WeierstrassCurve, ECPoint]:
+    """y^2 + (1-c)xy - by = x^3 - bx^2 and P = (0, 0), moved to the short model."""
+    a1, a2, a3 = 1 - c, -b, -b
+    b2, b4, b6 = a1 * a1 + 4 * a2, a1 * a3, a3 * a3
+    c4 = b2 * b2 - 24 * b4
+    c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
+    return WeierstrassCurve(-27 * c4, -54 * c6), affine(3 * b2, 108 * a3)
+
+
+def kubert_family(order: int, t: Fraction) -> tuple[Fraction, Fraction]:
+    """(b, c) of Kubert's Tate-normal-form family with a point of this order."""
+    if order == 4:
+        return t, Fraction(0)
+    if order == 5:
+        return t, t
+    if order == 6:
+        return t + t * t, t
+    if order == 7:
+        return t**3 - t**2, t**2 - t
+    if order == 8:
+        return (2 * t - 1) * (t - 1), (2 * t - 1) * (t - 1) / t
+    if order == 9:
+        return t**2 * (t - 1) * (t * t - t + 1), t**2 * (t - 1)
+    if order == 10:
+        d = t * t / (t - (t - 1) ** 2)
+        c = t * d - t
+        return c * d, c
+    assert order == 12
+    m = (3 * t - 3 * t * t - 1) / (t - 1)
+    f = m / (1 - t)
+    d = m + t
+    c = f * (d - 1)
+    return c * d, c
+
+
+@pytest.mark.parametrize("order", [4, 5, 6, 7, 8, 9, 10, 12])
+def test_torsion_order_up_to_the_mazur_bound(order):
+    curve, p = tate_normal_form(*kubert_family(order, Fraction(2 if order == 12 else 3)))
+    assert torsion_order_q(curve, p) == order
+    assert scalar_mul(curve, order, p) == INFINITY
+    for d in range(1, order):
+        if order % d == 0:
+            assert not scalar_mul(curve, d, p).is_infinity
+
+
+def test_torsion_order_of_a_point_of_infinite_order():
+    curve, p = tate_normal_form(Fraction(1), Fraction(2))
+    assert curve == WeierstrassCurve(405, 16038) and p == affine(-9, -108)
+    assert torsion_order_q(curve, p) is None
+    for n in range(1, 13):
+        assert not scalar_mul(curve, n, p).is_infinity
+    # Nagell-Lutz: on an integral model torsion points have integral coordinates.
+    assert scalar_mul(curve, 6, p) == affine(Fraction(99, 25), Fraction(-16632, 125))
 
 
 def test_rational_torsion_j0_examples():

@@ -131,6 +131,8 @@ def test_resultant_basics():
 def test_cyclotomic_examples():
     assert cyclotomic_polynomial(1) == UPoly([-1, 1])
     assert cyclotomic_polynomial(3) == UPoly([1, 1, 1])
+    with pytest.raises(DomainError):
+        cyclotomic_polynomial(0)
     # division oracle: x^9 - 1 = Phi_1 Phi_3 Phi_9, so Phi_9 = (x^9-1)/(x^3-1)
     x9 = UPoly.x_pow(9) - UPoly.one()
     x3 = UPoly.x_pow(3) - UPoly.one()

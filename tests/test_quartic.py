@@ -63,6 +63,7 @@ def test_moduli_equal_geometric_examples():
     assert moduli_equal_geometric(DepressedQuartic(1, 1, 1), DepressedQuartic(4, 8, 16))
     assert not moduli_equal_geometric(DepressedQuartic(1, 0, 1), DepressedQuartic(1, 1, 1))
     assert moduli_equal_geometric(DepressedQuartic(0, 1, 0), DepressedQuartic(0, 5, 0))
+    assert not moduli_equal_geometric(DepressedQuartic(0, 1, 1), DepressedQuartic(0, 1, 2))
     with pytest.raises(DomainError):
         moduli_equal_geometric(DepressedQuartic(0, 0, 0), DepressedQuartic(0, 0, 0))
     with pytest.raises(DomainError):
@@ -96,6 +97,7 @@ def test_moduli_equal_rational_examples():
     assert moduli_equal_rational(DepressedQuartic(1, 1, 1), DepressedQuartic(4, 8, 16)) == 2
     assert moduli_equal_rational(DepressedQuartic(1, 0, 0), DepressedQuartic(-1, 0, 0)) is None
     assert moduli_equal_rational(DepressedQuartic(0, 1, 0), DepressedQuartic(0, 8, 0)) == 2
+    assert moduli_equal_rational(DepressedQuartic(0, 0, 1), DepressedQuartic(0, 0, 16)) == 2
 
 
 def test_moduli_rational_implies_geometric():

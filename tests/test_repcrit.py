@@ -51,6 +51,8 @@ def test_profile_validation():
         ActionProfile(2, 3, (ConjClass(1, (1, 1, 2)), ConjClass(1, (2, 2, 1))))
     with pytest.raises(ProfileError):
         ActionProfile(2, 3, (ConjClass(1, (0, 0, 0)), ConjClass(1, (1, 2))))
+    with pytest.raises(DomainError):
+        cyclic_profile(0, (1, 2, 3))
     ActionProfile(3, 3, (ConjClass(1, (0, 0, 0)), ConjClass(2, (1, 1, 2))))
 
 
@@ -72,6 +74,10 @@ def test_malformed_profile_is_detected():
     fake4 = ActionProfile(2, 4, (ConjClass(1, (0, 0, 0)), ConjClass(1, (1, 0, 0))))
     with pytest.raises(ProfileError):
         dim_inv_wedge3(fake4, "V")
+    # Integral averages, but dim (wedge^3 H1)^G = 2 < 3 = dim (H1)^G.
+    fake_h1 = ActionProfile(4, 2, (ConjClass(1, (0, 0, 0)), ConjClass(3, (0, 0, 1))))
+    with pytest.raises(ProfileError, match="2 < dim"):
+        chow_criterion_applies(fake_h1)
 
 
 def test_criteria_on_presets():
@@ -237,11 +243,13 @@ def test_profile_json_round_trip():
         profile_from_json({"group_order": 3, "classes": []})
     # Only JSON integers: int() would read 1.9 as 1 and true as 1.
     data = profile.to_json()
-    for key, value in (("group_order", 3.0), ("level", "3"), ("level", True)):
+    for key, value in (("group_order", 3.0), ("level", "3"), ("level", True),
+                       ("group_order", 0), ("level", -3), ("classes", [])):
         with pytest.raises(ProfileError):
             profile_from_json({**data, key: value})
     for cls in ({"size": True, "exps": [1, 1, 2]}, {"size": 1, "exps": [1.9, 1.2, 2]},
-                {"size": 1.0, "exps": [1, 1, 2]}, {"size": 1, "exps": [1, 1, "2"]}):
+                {"size": 1.0, "exps": [1, 1, 2]}, {"size": 1, "exps": [1, 1, "2"]},
+                {"size": 0, "exps": [1, 1, 2]}):
         with pytest.raises(ProfileError):
             profile_from_json({**data, "classes": [data["classes"][0], cls, data["classes"][2]]})
 

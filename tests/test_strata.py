@@ -8,6 +8,7 @@ from ceresa_kit.strata import (
     CHOW_TORSION_STRATA,
     GRIFFITHS_TORSION_STRATA,
     STRATA,
+    StratumRecord,
     labels,
     mutated_table,
     stratum_info,
@@ -111,6 +112,12 @@ def test_consistency_fails_on_every_verdict_flag_mutation():
 def test_consistency_fails_on_poset_breakage():
     # toggling G48's griffiths verdict also breaks the downward closure from C6
     table = mutated_table("C9", "griffiths_torsion")
+    assert not verdict_consistency(table)
+    table = dict(STRATA)
+    del table["S3"]  # a closure child of C2 that is missing from the table
+    assert not verdict_consistency(table)
+    # S3 as high as its closure parent C2 (dim 4)
+    table = {**STRATA, "S3": StratumRecord("S3", 4, ("S4",), False, False, None, None)}
     assert not verdict_consistency(table)
 
 

@@ -187,15 +187,6 @@ def test_picard_curve_invariants_stay_out_of_eq_hash_and_repr():
         CURVE.invariants = None  # type: ignore[misc]
 
 
-def test_cyclic_profile_caches_classes_per_instance():
-    profile = cyclic_profile(5, (1, 2, 3))
-    assert "classes" not in vars(profile)
-    classes = profile.classes
-    assert vars(profile) == {"classes": classes} and profile.classes is classes
-    assert profile == cyclic_profile(5, (1, 2, 3))  # the cache is not a field
-    assert pickle.loads(pickle.dumps(profile)).classes == classes
-
-
 def test_cycnum_keeps_its_own_equality_and_stays_unhashable():
     z = CycNum(4, UPoly([0, 0, 1]))  # i^2 = -1
     assert z == -1 and z == CycNum(4, UPoly([-1]))
