@@ -41,6 +41,11 @@ class _Parser(argparse.ArgumentParser):
 #: a second, so a grid at the cap already takes tens of minutes.
 MAX_SCAN_POINTS = 10**6
 
+#: Most characters a `repcrit --profile` file may hold; only this many (and
+#: one more, to tell) are read.  A profile listing all 10^4 elements of a
+#: cyclic group at dim 62 is about 4 MB, a quarter of the cap.
+MAX_PROFILE_CHARS = 2**24
+
 
 def _parse_axis(text: str) -> tuple[int, Iterable[Fraction]]:
     """A grid axis, "lo:hi[:step]" (inclusive) or a comma-separated list.
@@ -159,11 +164,14 @@ def _load_profile(source: str) -> repcrit.Profile:
         return repcrit.preset_profile(source)
     try:
         with open(source, encoding="utf-8") as handle:
-            data = json.load(handle)
+            text = handle.read(MAX_PROFILE_CHARS + 1)  # an endless stream stops here
+        data = json.loads(text) if len(text) <= MAX_PROFILE_CHARS else None
     except OSError as exc:
         raise DomainError(f"no such preset or profile file: {source!r}") from exc
     except (ValueError, RecursionError) as exc:  # undecodable, too long an integer, too deep
         raise DomainError(f"invalid profile JSON in {source!r}: {exc}") from exc
+    if len(text) > MAX_PROFILE_CHARS:
+        raise DomainError(f"profile file {source!r} has more than {MAX_PROFILE_CHARS} characters")
     return repcrit.profile_from_json(data)
 
 

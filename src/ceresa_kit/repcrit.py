@@ -29,9 +29,10 @@ of ints.
 The class sums of an ActionProfile are folded mod x^L - 1 and reduced mod
 the L-th cyclotomic polynomial; the average is rational exactly when the
 remainder is constant.  Over a cyclic group the sum of zeta^(jk) over the
-elements g^k is n or 0, so each group sum is n times one constant term of
-a product of the generator's packed count vectors: three packs and one cube
-per space, where the class sums would pack and cube n classes.
+elements g^k is n or 0, so each group sum is n times a count read off the
+generator's count vector, or, for chi^3, one constant term of its packed
+cube: one count vector and one cube per space, where the class sums would
+pack and cube n classes.
 An irrational, non-integral or negative average proves the input was not a
 genuine group action and raises :class:`ProfileError`.
 
@@ -49,7 +50,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, ProfileError, quoted
+from .errors import DomainError, ProfileError, clipped, quoted
 from .exactmath import cyclotomic_polynomial, monic_divmod
 from .value import Value
 
@@ -172,20 +173,26 @@ def profile_from_json(data: dict) -> ActionProfile:
 def _digit_bytes(profile: Profile, d: int) -> int:
     # A class contributes at most d^3 to any digit of chi^3 (and less to
     # chi*chi2 and chi3), so no digit of a group sum exceeds group_order * d^3;
-    # one spare bit, rounded up to whole bytes, keeps digits from carrying.
+    # a cyclic profile's one cube has digits of at most d^3.  One spare bit,
+    # rounded up to whole bytes, keeps digits from carrying.
     return ((profile.group_order * d**3).bit_length() + 8) // 8
 
 
-def _pack(exps: Sequence[int], level: int, nbytes: int) -> int:
-    # Kronecker substitution of the count vector of exps (reduced mod the
-    # level): digit i, nbytes wide, holds how many exponents equal i.  No
-    # count exceeds len(exps), so only its low bytes are written, one byte
-    # plane at a time.
+def _counts(exps: Sequence[int], level: int) -> list[int]:
+    # The count vector of exps (reduced mod the level): entry i is how many
+    # exponents equal i.
     counts = [0] * level
     for e in exps:
         counts[e] += 1
-    digits = bytearray(nbytes * level)
-    for j in range((len(exps).bit_length() + 7) // 8):
+    return counts
+
+
+def _pack(counts: Sequence[int], nbytes: int) -> int:
+    # Kronecker substitution of a count vector: digit i, nbytes wide, holds
+    # counts[i].  Only the low bytes that some count reaches are written, one
+    # byte plane at a time.
+    digits = bytearray(nbytes * len(counts))
+    for j in range((max(counts).bit_length() + 7) // 8):
         digits[j::nbytes] = bytes([c >> (8 * j) & 255 for c in counts])
     return int.from_bytes(digits, "little")
 
@@ -206,18 +213,23 @@ def _unpack(packed: int, level: int, nbytes: int) -> tuple[int, ...]:
                   for i in range(0, len(data), nbytes)])
 
 
+@lru_cache(maxsize=16)
+def _phi_coeffs(level: int) -> tuple[int, ...]:
+    # The integer coefficients of Phi_L, converted from its Fractions once.
+    return tuple([int(c) for c in cyclotomic_polynomial(level).coeffs])
+
+
 def _vector_to_dim(total: Sequence[int], scale: int, level: int) -> int:
     # total[i] are the coefficients of scale * (invariant average) in powers
     # of zeta; the remainder mod the cyclotomic polynomial is the unique
     # representative of degree < phi(level), constant iff the value is rational.
-    phi = [int(c) for c in cyclotomic_polynomial(level).coeffs]
-    _, rem = monic_divmod(total, phi)
+    _, rem = monic_divmod(total, _phi_coeffs(level))
     if any(rem[1:]):
         raise ProfileError("invariant average is irrational; not a group action")
     dim, r = divmod(rem[0], scale)
     if r or dim < 0:
         raise ProfileError(
-            f"invariant average {Fraction(rem[0], scale)} is not a nonnegative integer"
+            f"invariant average {clipped(Fraction(rem[0], scale))} is not a nonnegative integer"
         )
     return dim
 
@@ -228,28 +240,41 @@ def _group_sums(profile: Profile, space: str) -> tuple[tuple[int, ...], ...]:
 
     chi is the character of V or H^1 on a group element h, chi2 and chi3
     its values on h^2 and h^3.  An ActionProfile sums size * value over its
-    classes.  Over a cyclic group of order n, chi(g^k) = P(zeta^k) for the
-    generator's packed count vector P, and the sum of zeta^(jk) over k is n
-    when n divides j and 0 otherwise: each sum is n times the constant term
-    of P, P^3, P * P(x^2) or P(x^3) folded mod x^n - 1, returned as a vector
-    of length one.
+    classes, each value packed from a count vector.  Over a cyclic group of
+    order n with the space's exponent multiset E and count vector c,
+    chi(g^k) = P(zeta^k) for the packed count vector P, and the sum of
+    zeta^(jk) over k is n when n divides j and 0 otherwise.  So the sums are
+    n * c[0], n times the constant term of P^3 folded mod x^n - 1 (the one
+    product), n * (sum of c[-2e] over e in E) and n * #{e in E : 3e = 0},
+    each returned as a vector of length one.
     """
     if space not in ("V", "H1"):
         raise DomainError(f"unknown space {space!r}; expected 'V' or 'H1'")
     level = profile.level
     nbytes = _digit_bytes(profile, profile.dim if space == "V" else 2 * profile.dim)
 
-    def characters(exps):
+    def exponents(exps):
         if space == "H1":  # each eigenvalue of V together with its conjugate
-            exps = exps + tuple([-e % level for e in exps])
-        c1 = _pack(exps, level, nbytes)
-        c2 = _pack([2 * e % level for e in exps], level, nbytes)
-        return c1, c1 * c1 * c1, c1 * c2, _pack([3 * e % level for e in exps], level, nbytes)
+            return exps + tuple([-e % level for e in exps])
+        return exps
 
     if isinstance(profile, CyclicProfile):
+        exps = exponents(profile.generator)
+        counts = _counts(exps, level)
+        packed = _pack(counts, nbytes)
         digit = (1 << 8 * nbytes) - 1  # mask of digit 0, the constant term
-        return tuple((level * (_fold(total, level, nbytes) & digit),)
-                     for total in characters(profile.generator))
+        cube = _fold(packed * packed * packed, level, nbytes) & digit
+        cross = sum([counts[-2 * e % level] for e in exps])
+        triple = sum([1 for e in exps if 3 * e % level == 0])
+        return tuple((level * total,) for total in (counts[0], cube, cross, triple))
+
+    def characters(exps):
+        exps = exponents(exps)
+        c1 = _pack(_counts(exps, level), nbytes)
+        c2 = _pack(_counts([2 * e % level for e in exps], level), nbytes)
+        c3 = _pack(_counts([3 * e % level for e in exps], level), nbytes)
+        return c1, c1 * c1 * c1, c1 * c2, c3
+
     sums = [0, 0, 0, 0]
     for cls in profile.classes:
         for i, value in enumerate(characters(cls.exps)):
@@ -268,6 +293,7 @@ def dim_inv_wedge3(profile: Profile, space: str = "V") -> int:
     return _vector_to_dim(total, 6 * profile.group_order, profile.level)
 
 
+@lru_cache(maxsize=4096)
 def invariant_dim(profile: Profile, space: str = "V") -> int:
     """Dimension of the group invariants of V or of H^1 = V + conjugate(V)."""
     return _vector_to_dim(_group_sums(profile, space)[0], profile.group_order, profile.level)

@@ -232,6 +232,46 @@ def test_level_at_the_cap_is_accepted(capsys, tmp_path, monkeypatch):
         repcrit.cyclic_profile(13, (1, 2, 3))
 
 
+def test_profile_file_at_the_character_cap_is_accepted(capsys, tmp_path, monkeypatch):
+    path = Path(level_profile(tmp_path, 3))
+    monkeypatch.setattr(cli, "MAX_PROFILE_CHARS", len(path.read_text()))
+    code, _, _ = run(capsys, "repcrit", "--profile", str(path))
+    assert code == 0
+    path.write_text(path.read_text() + " ")  # still valid JSON, one character over
+    code, out, err = run(capsys, "repcrit", "--profile", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: profile file {str(path)!r} has more than "
+                   f"{cli.MAX_PROFILE_CHARS} characters\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_endless_profile_file_is_refused_promptly(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "repcrit", "--profile", "/dev/zero")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err == f"error: profile file '/dev/zero' has more than {cli.MAX_PROFILE_CHARS} characters\n"
+
+
+def test_invariant_average_in_an_error_is_exact_when_short_and_cut_when_long(
+        capsys, tmp_path):
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"group_order": 3, "level": 2, "classes": [
+        {"size": 1, "exps": [0, 0, 0]}, {"size": 2, "exps": [0, 0, 1]}]}))
+    code, out, err = run(capsys, "repcrit", "--profile", str(short))
+    assert (code, out) == (2, "")
+    assert err == "error: invariant average -1/3 is not a nonnegative integer\n"
+    # Its numerator has more digits than CPython converts to a string.
+    order = 10**4299
+    long = tmp_path / "long.json"
+    long.write_text(json.dumps({"group_order": order, "level": 2, "classes": [
+        {"size": 1, "exps": [0] * 30}, {"size": order - 1, "exps": [1] * 30}]}))
+    code, out, err = run(capsys, "repcrit", "--profile", str(long))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invariant average -") and err.count("\n") == 1
+    assert "…" in err and len(err) < 120
+
+
 def test_strata_subcommand(capsys):
     payload = run_json(capsys, "strata", "--group", "C9", "--format", "json")
     assert payload["chow_torsion"] is True

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ceresa_kit import cli, repcrit
 from ceresa_kit.errors import DomainError, ProfileError
 from ceresa_kit.exactmath import UPoly, cyclotomic_polynomial
 from ceresa_kit.repcrit import (
@@ -207,8 +209,9 @@ def test_dihedral_witness_triple_refuses_what_dihedral_criterion_refuses():
             dihedral_witness_triple(m, a, b)
 
 
-def test_dihedral_vanishing_agrees_with_invariant_dimension_up_to_40():
-    for m in range(3, 41):
+def test_dihedral_vanishing_agrees_with_invariant_dimension_up_to_63():
+    # m up to 63 covers every dihedral profile the benchmark's heavy calls draw.
+    for m in range(3, 64):
         for a in range(1, m):
             for b in range(a + 1, (m - 1) // 2 + 1):
                 if 2 * b >= m or math.gcd(m, math.gcd(a, b)) != 1:
@@ -219,6 +222,58 @@ def test_dihedral_vanishing_agrees_with_invariant_dimension_up_to_40():
                 assert dihedral_vanishing(m, a, b) == triple_free
                 dim = dim_inv_wedge3(dihedral_profile(m, a, b), "V")
                 assert triple_free == (dim == 0)
+
+
+def test_cyclic_sums_match_the_class_sums_on_large_dihedral_profiles():
+    rng = random.Random(67)
+    checked = 0
+    while checked < 40:
+        m = rng.randint(33, 63)
+        a = rng.randint(1, (m - 1) // 2 - 1)
+        b = rng.randint(a + 1, (m - 1) // 2)
+        if math.gcd(m, math.gcd(a, b)) != 1:
+            continue
+        profile = dihedral_profile(m, a, b)
+        classes = ActionProfile(profile.group_order, profile.level, profile.classes)
+        for space in ("V", "H1"):
+            assert dim_inv_wedge3(profile, space) == dim_inv_wedge3(classes, space)
+        assert invariant_dim(profile, "H1") == invariant_dim(classes, "H1")
+        checked += 1
+
+
+@pytest.mark.parametrize("dim", [3, 255, 256, 300])
+def test_cyclic_sums_of_an_all_zero_generator(dim):
+    # Every element acts trivially, so the counts reach dim (2 dim on H1):
+    # above 255 they need a second byte plane.
+    for order in (6, 12, 18, 30):
+        profile = cyclic_profile(order, (0,) * dim)
+        assert dim_inv_wedge3(profile, "V") == math.comb(dim, 3)
+        assert dim_inv_wedge3(profile, "H1") == math.comb(2 * dim, 3)
+        assert invariant_dim(profile, "H1") == 2 * dim
+
+
+def _clear_package_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ceresa_kit."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)) and value.__module__ == name:
+                    value.cache_clear()
+
+
+def test_one_repcrit_call_computes_each_invariant_once(monkeypatch, capsys):
+    reductions, original = [], repcrit._vector_to_dim
+    monkeypatch.setattr(repcrit, "_vector_to_dim",
+                        lambda *args: reductions.append(args) or original(*args))
+    _clear_package_caches()
+    assert cli.main(["repcrit", "--profile", "dihedral:63,1,5", "--format", "json"]) == 0
+    capsys.readouterr()
+    # One group-sum pass and one wedge^3 dimension per space, dim (H1)^G once
+    # although the CLI and the Chow criterion both ask for it, and Phi_63 once.
+    assert repcrit._group_sums.cache_info().misses == 2
+    assert repcrit.dim_inv_wedge3.cache_info().misses == 2
+    assert repcrit.invariant_dim.cache_info().misses == 1
+    assert cyclotomic_polynomial.cache_info().misses == 1
+    assert len(reductions) == 3
 
 
 def test_cyclotomic_cache_stays_bounded_over_a_sweep_of_levels():
