@@ -3,7 +3,8 @@
 Curves are y^2 = x^3 + A x + B with rational A, B and nonzero discriminant.
 Points are either the point at infinity (the group identity) or exact
 affine rational pairs; the chord-tangent group law is evaluated with
-Fraction arithmetic, so there are no tolerances anywhere.
+Fraction arithmetic, and the on-curve test on integers with the
+denominators cleared, so there are no tolerances anywhere.
 
 Beyond the group law, this module provides:
 
@@ -68,9 +69,24 @@ class WeierstrassCurve(Value):
         super().__init__(A, B)
 
     def contains(self, p: ECPoint) -> bool:
+        """Whether y^2 = x^3 + Ax + B at P, compared on integers.
+
+        For integral A and B, x^3 + Ax + B is (xn^3 + A xn xd^2 + B xd^3)/xd^3
+        in lowest terms (gcd(xn, xd) = 1), as y^2 is yn^2/yd^2; so both
+        sides agree exactly when numerators and denominators do.  Otherwise
+        the denominators are cross-multiplied.
+        """
         if p.is_infinity:
             return True
-        return p.y * p.y == p.x**3 + self.A * p.x + self.B
+        xn, xd = p.x.numerator, p.x.denominator
+        yn, yd = p.y.numerator, p.y.denominator
+        an, ad = self.A.numerator, self.A.denominator
+        bn, bd = self.B.numerator, self.B.denominator
+        xd2 = xd * xd
+        if ad == 1 and bd == 1:
+            return yd * yd == xd2 * xd and yn * yn == xn * (xn * xn + an * xd2) + bn * xd2 * xd
+        rhs = (xn * xn * ad + an * xd2) * xn * bd + bn * ad * xd2 * xd
+        return yn * yn * xd2 * xd * ad * bd == yd * yd * rhs
 
     def __str__(self) -> str:
         return f"y^2 = x^3 + ({self.A})*x + ({self.B})"

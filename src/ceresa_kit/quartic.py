@@ -9,13 +9,17 @@ quartic form are
 
 linked by the syzygy J^2 = 4I^3 - 27*disc.  The weighted scaling action
 lam . (a, b, c) = (lam^2 a, lam^3 b, lam^4 c) makes I, J, disc homogeneous
-of degree 4, 6, 12; orbits of nonzero triples are points of the weighted
-projective space P(2,3,4), and moduli equality tests decide orbit equality
-over an algebraic closure or over the rationals.
+of degree 4, 6, 12.  So ``invariants`` evaluates them, and checks the
+syzygy, on integers: on the triple scaled by the lcm of its denominators,
+with one division per value at the end.  Orbits of nonzero triples are
+points of the weighted projective space P(2,3,4), and moduli equality
+tests decide orbit equality over an algebraic closure or over the
+rationals.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DomainError
@@ -56,21 +60,37 @@ class QuarticInvariants(Value):
 
 
 def invariants(q: DepressedQuartic) -> QuarticInvariants:
-    """Evaluate (I, J, disc) and assert the syzygy before returning."""
+    """Evaluate (I, J, disc) and assert the syzygy before returning.
+
+    The weighted scaling by lam, the lcm of the three denominators, sends
+    the triple to integers (lam^2 a, lam^3 b, lam^4 c).  I, J and disc are
+    evaluated and checked there, and divided by lam^4, lam^6 and lam^12 once
+    each at the end.
+    """
     a, b, c = q.a, q.b, q.c
-    inv_i = a * a + 12 * c
-    inv_j = 72 * a * c - 2 * a**3 - 27 * b * b
+    lam = math.lcm(a.denominator, b.denominator, c.denominator)
+    lam2 = lam * lam
+    a = a.numerator * (lam2 // a.denominator)
+    b = b.numerator * (lam2 * lam // b.denominator)
+    c = c.numerator * (lam2 * lam2 // c.denominator)
+    a2, b2 = a * a, b * b
+    inv_i = a2 + 12 * c
+    inv_j = 72 * a * c - 2 * a2 * a - 27 * b2
     disc = (
-        -4 * a**3 * b**2
-        - 27 * b**4
-        + 16 * a**4 * c
-        + 144 * a * b**2 * c
-        - 128 * a**2 * c**2
-        + 256 * c**3
+        -4 * a2 * a * b2
+        - 27 * b2 * b2
+        + 16 * a2 * a2 * c
+        + 144 * a * b2 * c
+        - 128 * a2 * c * c
+        + 256 * c * c * c
     )
     # A violation here is an implementation fault, never an input error.
     assert inv_j * inv_j == 4 * inv_i**3 - 27 * disc, q
-    return QuarticInvariants(inv_i, inv_j, disc)
+    lam4 = lam2 * lam2
+    lam6 = lam4 * lam2
+    return QuarticInvariants(
+        Fraction(inv_i, lam4), Fraction(inv_j, lam6), Fraction(disc, lam6 * lam6)
+    )
 
 
 def gm_scale(lam: RatLike, q: DepressedQuartic) -> DepressedQuartic:

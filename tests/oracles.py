@@ -6,7 +6,9 @@ rational-root search, invariant dimensions of exterior cubes are
 counted by brute-force triple enumeration, the group averages of the
 character kernel are recomputed in cyclotomic-field arithmetic (``CycNum``)
 instead of packed integers, and the quartic discriminant is recomputed as a
-resultant (``poly_discriminant``) instead of by its closed form.
+resultant (``poly_discriminant``) instead of by its closed form.  The
+invariants and the on-curve test, which the package evaluates on integers
+with denominators cleared, are restated here in plain Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -174,6 +176,32 @@ def poly_discriminant(p: UPoly) -> Fraction:
         raise DomainError("discriminant requires degree >= 1")
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     return sign * resultant(p, p.derivative()) / p.lc()
+
+
+def invariants_fraction(q) -> tuple[Fraction, Fraction, Fraction]:
+    """(I, J, disc) of a depressed quartic, in Fraction arithmetic term by term.
+
+    The closed forms as ``quartic.invariants`` evaluated them before it
+    moved to integers: no scaling, one Fraction operation at a time.
+    """
+    a, b, c = q.a, q.b, q.c
+    inv_i = a * a + 12 * c
+    inv_j = 72 * a * c - 2 * a**3 - 27 * b * b
+    disc = (
+        -4 * a**3 * b**2
+        - 27 * b**4
+        + 16 * a**4 * c
+        + 144 * a * b**2 * c
+        - 128 * a**2 * c**2
+        + 256 * c**3
+    )
+    assert inv_j * inv_j == 4 * inv_i**3 - 27 * disc, q
+    return inv_i, inv_j, disc
+
+
+def on_curve_fraction(e: WeierstrassCurve, p: ECPoint) -> bool:
+    """Whether P lies on y^2 = x^3 + Ax + B, compared as Fractions."""
+    return p.is_infinity or p.y * p.y == p.x**3 + e.A * p.x + e.B
 
 
 def torsion_points_bruteforce(A, B) -> list[ECPoint]:

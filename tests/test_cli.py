@@ -29,7 +29,7 @@ from ceresa_kit import (
     torsion_order_q,
 )
 from ceresa_kit.cli import main
-from ceresa_kit.errors import DomainError
+from ceresa_kit.errors import DomainError, quoted
 from ceresa_kit.exactmath import MAX_LITERAL_CHARS
 
 
@@ -240,7 +240,7 @@ def test_profile_file_at_the_character_cap_is_accepted(capsys, tmp_path, monkeyp
     path.write_text(path.read_text() + " ")  # still valid JSON, one character over
     code, out, err = run(capsys, "repcrit", "--profile", str(path))
     assert (code, out) == (2, "")
-    assert err == (f"error: profile file {str(path)!r} has more than "
+    assert err == (f"error: profile file {quoted(str(path))} has more than "
                    f"{cli.MAX_PROFILE_CHARS} characters\n")
 
 
@@ -484,7 +484,7 @@ def test_profile_file_nested_too_deep_is_a_domain_error(capsys, tmp_path):
     path.write_text("[" * 100_000 + "]" * 100_000)
     code, out, err = run(capsys, "repcrit", "--profile", str(path))
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: invalid profile JSON in {str(path)!r}: ")
+    assert err.startswith(f"error: invalid profile JSON in {quoted(str(path))}: ")
     assert len(err.splitlines()) == 1
 
 
@@ -534,7 +534,7 @@ def test_scan_out_to_an_unwritable_path_is_a_domain_error(capsys, tmp_path):
             open(path, "w")
         code, out, err = run(capsys, *argv, "--out", str(path))
         assert (code, out) == (2, "")
-        assert err == f"error: cannot write {str(path)!r}: {expected.value.strerror}\n"
+        assert err == f"error: cannot write {quoted(str(path))}: {expected.value.strerror}\n"
 
 
 def test_scan_out_to_an_unwritable_path_decides_no_point(capsys, monkeypatch, tmp_path):
@@ -624,6 +624,42 @@ def test_scan_out_to_a_full_device_is_a_write_error(capsys):
     code, out, err = run(capsys, "scan", *ONE_CALL_EACH["scan"], "--out", "/dev/full")
     assert (code, out) == (2, "")
     assert err == f"error: cannot write '/dev/full': {os.strerror(errno.ENOSPC)}\n"
+
+
+def with_value(argv: list[str], flag: str, value: str) -> list[str]:
+    """`argv` with `flag` set to `value`, replacing the value it had if any."""
+    if flag in argv:
+        at = argv.index(flag) + 1
+        return [*argv[:at], value, *argv[at + 1:]]
+    return [*argv, flag, value]
+
+
+# Quoted values are cut at 40 characters; the longest message around one,
+# strata's list of known labels, is 134 characters.
+MAX_ERROR_LINE = 160
+
+
+def test_a_long_value_of_any_flag_gives_one_short_error_line(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    long_value = "missing/" + "x" * 292  # no such directory: `--out` cannot create it
+    domain_errors = set()
+    for name, _, _, arguments in cli._COMMANDS:
+        for flags, options in arguments:
+            if options.get("action") == "store_true":
+                continue
+            code, out, err = run(capsys, name, *with_value(ONE_CALL_EACH[name], flags[0],
+                                                           long_value))
+            if code == 1:  # argparse refused the value: its usage lines are not ours
+                assert err.startswith("usage error: "), (name, flags)
+                continue
+            assert (code, out) == (2, ""), (name, flags)
+            assert err.startswith("error: ") and err.count("\n") == 1, (name, flags, err)
+            assert len(err) <= MAX_ERROR_LINE, (name, flags, err)
+            domain_errors.add(flags[0])
+    # Every flag without an argparse type or choices reaches its handler.
+    assert domain_errors == {"-a", "-b", "-c", "-A", "-B", "-x", "-y", "-I", "-J", "-t",
+                             "--profile", "--group", "--a-range", "--b-range", "--c-range",
+                             "--out"}
 
 
 @pytest.mark.parametrize("axes, message", [

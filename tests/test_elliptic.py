@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+from ceresa_kit.ceresa import PicardCurve, picard_invariant_point
 from ceresa_kit.elliptic import (
     ECPoint,
     INFINITY,
@@ -18,7 +20,8 @@ from ceresa_kit.elliptic import (
     velu_3isogeny,
 )
 from ceresa_kit.errors import DomainError
-from oracles import random_rational, torsion_points_bruteforce
+from ceresa_kit.quartic import DepressedQuartic, invariants
+from oracles import on_curve_fraction, random_rational, torsion_points_bruteforce
 
 
 def curve_through(p1: ECPoint, p2: ECPoint) -> WeierstrassCurve:
@@ -274,3 +277,68 @@ def test_group_law_axioms_on_random_curves():
         right = add(curve, p1, add(curve, p2, p3))
         assert left == right
         done += 1
+
+
+def multiples(curve: WeierstrassCurve, point: ECPoint) -> list[ECPoint]:
+    """P, 2P, ..., 12P, or up to the first multiple that is the point at infinity."""
+    found = [point]
+    while len(found) < 12 and not found[-1].is_infinity:
+        found.append(add(curve, found[-1], point))
+    return found
+
+
+def perturbed(p: ECPoint, delta: Fraction) -> list[ECPoint]:
+    """P with each coordinate shifted, P rescaled by the weights (2, 3), which
+    keeps yd^2 = xd^3 but moves it off the curve unless delta = ±1, and -P."""
+    return [ECPoint(p.x + delta, p.y), ECPoint(p.x, p.y + delta),
+            ECPoint(p.x / delta**2, p.y / delta**3), negate(p)]
+
+
+def assert_contains_matches_the_oracle(curve: WeierstrassCurve, point: ECPoint,
+                                       delta: Fraction) -> None:
+    for multiple in multiples(curve, point):
+        assert curve.contains(multiple) and on_curve_fraction(curve, multiple)
+        if not multiple.is_infinity:
+            for moved in perturbed(multiple, delta):
+                assert curve.contains(moved) == on_curve_fraction(curve, moved)
+
+
+integer_values = st.integers(-30, 30).map(Fraction)
+rational_values = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+nonzero_values = (integer_values | rational_values).filter(bool)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(*[integer_values] * 3) | st.tuples(*[rational_values] * 3), nonzero_values)
+@example((Fraction(1), Fraction(0), Fraction(1)), Fraction(1))  # B integral
+@example((Fraction(-1, 3), Fraction(1, 7), Fraction(2)), Fraction(1, 2))  # B not integral
+@example((Fraction(-3, 2), Fraction(1, 3), Fraction(-1, 48)), Fraction(3))  # order 6
+def test_contains_matches_the_fraction_oracle_on_invariant_points(triple, delta):
+    quartic = DepressedQuartic(*triple)
+    assume(invariants(quartic).disc != 0)
+    curve, point = picard_invariant_point(PicardCurve(quartic))
+    assert_contains_matches_the_oracle(curve, point, delta)
+
+
+@st.composite
+def curves_through_a_point(draw, values):
+    """A nonsingular y^2 = x^3 + Ax + B through an (x, y), some with y = 0 or x = 0."""
+    x, y, a = draw(values), draw(values), draw(values)
+    kind = draw(st.sampled_from(("any", "y = 0", "x = 0")))
+    if kind == "y = 0":
+        y = Fraction(0)
+    elif kind == "x = 0":
+        x = Fraction(0)
+    b = y * y - x**3 - a * x
+    assume(4 * a**3 + 27 * b**2 != 0)
+    return WeierstrassCurve(a, b), ECPoint(x, y)
+
+
+@settings(max_examples=120, deadline=None)
+@given(curves_through_a_point(integer_values) | curves_through_a_point(rational_values),
+       nonzero_values)
+@example((WeierstrassCurve(-1, 0), affine(0, 0)), Fraction(1))
+@example((WeierstrassCurve(Fraction(1, 2), Fraction(1, 9)), affine(0, "1/3")), Fraction(1))
+def test_contains_matches_the_fraction_oracle_on_general_curves(curve_and_point, delta):
+    curve, point = curve_and_point
+    assert_contains_matches_the_oracle(curve, point, delta)

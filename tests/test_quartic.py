@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ceresa_kit.errors import DomainError
+from ceresa_kit.exactmath import max_literal_chars
 from ceresa_kit.quartic import (
     DepressedQuartic,
     from_invariant_point,
@@ -14,7 +16,7 @@ from ceresa_kit.quartic import (
     moduli_equal_geometric,
     moduli_equal_rational,
 )
-from oracles import random_rational
+from oracles import invariants_fraction, random_rational
 
 
 def test_invariants_examples():
@@ -35,6 +37,55 @@ def test_syzygy_on_random_samples():
         q = DepressedQuartic(*(random_rational(rng) for _ in range(3)))
         inv = invariants(q)
         assert inv.J**2 == 4 * inv.I**3 - 27 * inv.disc
+
+
+small_integers = st.integers(-40, 40).map(Fraction)  # zero and negatives included
+
+
+@st.composite
+def one_denominator(draw):
+    """An integer triple with a non-integral value at one position."""
+    triple = [draw(small_integers) for _ in range(3)]
+    at = draw(st.integers(0, 2))
+    triple[at] = Fraction(draw(st.integers(-10**6, 10**6)), draw(st.integers(2, 10**6)))
+    return triple
+
+
+@st.composite
+def full_length_literal(draw) -> str:
+    """An integer or "p/q" literal of exactly max_literal_chars() characters."""
+    length = max_literal_chars()
+    sign = draw(st.sampled_from(("", "-")))
+    digits = length - len(sign)
+    if draw(st.booleans()):
+        return sign + str(draw(st.integers(10 ** (digits - 1), 10**digits - 1)))
+    num_digits = draw(st.integers(1, digits - 2))
+    den_digits = digits - 1 - num_digits
+    num = draw(st.integers(10 ** (num_digits - 1), 10**num_digits - 1))
+    den = draw(st.integers(10 ** (den_digits - 1), 10**den_digits - 1))
+    return f"{sign}{num}/{den}"
+
+
+full_length_triples = st.tuples(*[full_length_literal() | small_integers] * 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.tuples(small_integers, small_integers, small_integers),
+    one_denominator(),
+    st.tuples(*[st.fractions(max_denominator=10**4)] * 3),
+    full_length_triples,
+))
+@example((0, 0, 0))
+@example((Fraction(-1, 3), 0, 0))
+@example((0, Fraction(5, 7), -1))
+@example((0, 0, "-1/" + "9" * (max_literal_chars() - 3)))
+def test_invariants_match_the_fraction_oracle(triple):
+    assert all(len(v) == max_literal_chars() for v in triple if isinstance(v, str))
+    quartic = DepressedQuartic(*triple)
+    inv = invariants(quartic)
+    assert (inv.I, inv.J, inv.disc) == invariants_fraction(quartic)
+    assert all(type(v) is Fraction for v in (inv.I, inv.J, inv.disc))
 
 
 def test_gm_scale_examples():
