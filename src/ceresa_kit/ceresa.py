@@ -29,8 +29,6 @@ from .exactmath import RatLike, rat
 from .quartic import DepressedQuartic, QuarticInvariants, from_invariant_point, invariants
 from .value import Value
 
-E0_DOUBLED_D = Fraction(-27)  # y^2 = 4x^3 - 27, the disc = 1 fiber
-
 
 class PicardCurve(Value):
     """A quartic with nonzero discriminant, i.e. a smooth curve y^3 = f(x).
@@ -171,7 +169,7 @@ def e0_rational_torsion() -> list[ECPoint]:
     The torsion is enumerated on the short model y^2 = x^3 - 432, the image
     of E0 under (x, y) -> (4x, 4y), and scaled back by 1/4.
     """
-    pts = elliptic.rational_torsion_j0(16 * E0_DOUBLED_D)
+    pts = elliptic.rational_torsion_j0(-432)
     return [p if p.is_infinity else ECPoint(p.x / 4, p.y / 4) for p in pts]
 
 

@@ -10,7 +10,8 @@ Beyond the group law, this module provides:
 
   * the torsion-order decision over Q (exhaustive multiplication up to the
     Mazur bound of 12),
-  * full rational torsion enumeration for j = 0 curves y^2 = x^3 + D,
+  * the rational torsion subgroup of a j = 0 curve y^2 = x^3 + D, read
+    off its classification (no group law),
   * the 3-isogeny y^2 = x^3 + D  ->  y^2 = x^3 - 27D with kernel {x = 0}.
 """
 
@@ -155,35 +156,31 @@ def torsion_order_q(e: WeierstrassCurve, p: ECPoint) -> int | None:
 def rational_torsion_j0(d: RatLike) -> list[ECPoint]:
     """Full rational torsion subgroup of y^2 = x^3 + D, sorted, infinity first.
 
-    2-torsion comes from the rational root of x^3 + D (at most one); the
-    3-division polynomial 3x^4 + 12Dx = 3x(x^3 + 4D) contributes x = 0 when
-    D is a square and x = cbrt(-4D) when -3D is a square.  The group is
-    then closed under addition.
+    Read off the classification of the torsion of y^2 = x^3 + D over Q
+    (Knapp, *Elliptic Curves*; Silverman, *The Arithmetic of Elliptic
+    Curves*, ch. X, exercises): Z/6 when D = u^6, Z/3 when D is another
+    square or D = -432 w^6, Z/2 when D is another cube, trivial otherwise.
+    The points are (r, 0) for r = cbrt(-D); (0, +-s) for D = s^2; (cbrt(-4D),
+    +-sqrt(-3D)), the other roots of the 3-division polynomial 3x(x^3 + 4D);
+    and, when r and s both exist, the order-6 points (-2r, +-3s).
     """
     d = rat(d)
     if d == 0:
         raise DomainError("y^2 = x^3 is singular")
-    curve = WeierstrassCurve(0, d)
-    found: set[ECPoint] = {INFINITY}
+    points = [INFINITY]
     r = rational_nth_root(-d, 3)
     if r is not None:
-        found.add(ECPoint(r, Fraction(0)))
+        points.append(ECPoint(r, Fraction(0)))
     s = rational_sqrt(d) if d > 0 else None
     if s is not None:
-        found.add(ECPoint(Fraction(0), s))
-        found.add(ECPoint(Fraction(0), -s))
+        points += [ECPoint(Fraction(0), s), ECPoint(Fraction(0), -s)]
+        if r is not None:
+            points += [ECPoint(-2 * r, 3 * s), ECPoint(-2 * r, -3 * s)]
     x1 = rational_nth_root(-4 * d, 3)
-    if x1 is not None:
-        t = rational_sqrt(-3 * d) if -3 * d > 0 else None
-        if t is not None:
-            found.add(ECPoint(x1, t))
-            found.add(ECPoint(x1, -t))
-    while True:
-        extra = {add(curve, p, q) for p in found for q in found} - found
-        if not extra:
-            break
-        found |= extra
-    return sorted(found, key=point_sort_key)
+    t = rational_sqrt(-3 * d) if d < 0 else None
+    if x1 is not None and t is not None:
+        points += [ECPoint(x1, t), ECPoint(x1, -t)]
+    return sorted(points, key=point_sort_key)
 
 
 class Isogeny3(Value):

@@ -17,6 +17,7 @@ can be shared freely between threads.  There are no floats anywhere.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from collections.abc import Iterable
 from fractions import Fraction
@@ -37,6 +38,10 @@ RatLike = Fraction | int | str
 # `decide` and `scan` print for accepted input can be printed.
 MAX_LITERAL_CHARS = 390
 
+# The one ASCII grammar of ``rat`` on every supported Python: ``Fraction`` alone
+# also reads "1_000" on 3.11+, "1 / 2" on 3.12+ and non-ASCII digits ("１２").
+_RATIONAL_LITERAL = re.compile(r"[+-]?(?:[0-9]+(?:/0*[1-9][0-9]*)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+
 
 def max_literal_chars() -> int:
     """The longest literal ``rat`` accepts under the current int-to-string limit."""
@@ -50,7 +55,7 @@ def rat(value: RatLike) -> Fraction:
     Floats are rejected: this package never rounds.  Exponent notation
     ("1e500000") is rejected too, since it lets a short literal demand an
     integer of unbounded size, and so is a string longer than
-    ``max_literal_chars()``.
+    ``max_literal_chars()`` or, once stripped, outside ``_RATIONAL_LITERAL``.
     """
     if isinstance(value, Fraction):
         return value
@@ -66,10 +71,9 @@ def rat(value: RatLike) -> Fraction:
             raise DomainError(
                 f"invalid rational literal {quoted(value)}: no exponent notation"
             )
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"invalid rational literal {quoted(value)}") from exc
+        if not _RATIONAL_LITERAL.fullmatch(value.strip()):
+            raise DomainError(f"invalid rational literal {quoted(value)}")
+        return Fraction(value.strip())
     raise DomainError(f"cannot interpret {quoted(value)} as an exact rational")
 
 

@@ -7,6 +7,10 @@ left out (their text changes between Python versions; test_cli_parser.py
 covers them), and so is everything that writes or reads a file.
 
 Run from the repository root:  PYTHONPATH=src python tests/data/make_cli_golden.py
+
+With --check it writes nothing: it replays every case of the file through
+`cli.main`, prints each mismatch and exits 1 on any, so an interpreter
+without pytest can check the output too.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import contextlib
 import io
 import json
 import pathlib
+import sys
 
 from ceresa_kit import cli
 
@@ -84,11 +89,32 @@ def run(argv: list[str]) -> dict:
     return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def main() -> None:
+def check() -> int:
+    golden = json.loads(OUT.read_text(encoding="utf-8"))
+    mismatches = 0
+    for case in golden:
+        result = run(case["argv"])
+        if result != case:
+            mismatches += 1
+            print(f"mismatch: {case['argv']}")
+            for key in ("code", "stdout", "stderr"):
+                if result[key] != case[key]:
+                    print(f"  {key}: expected {case[key]!r}, got {result[key]!r}")
+    print(f"{len(golden)} cases, {mismatches} mismatches")
+    return 1 if mismatches else 0
+
+
+def main(args: list[str]) -> int:
+    if args == ["--check"]:
+        return check()
+    if args:
+        print("usage: make_cli_golden.py [--check]", file=sys.stderr)
+        return 1
     results = [run(argv) for argv in cases()]
     OUT.write_text(json.dumps(results, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
     print(f"{len(results)} cases, {OUT.stat().st_size} bytes -> {OUT}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

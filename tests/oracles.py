@@ -8,7 +8,10 @@ character kernel are recomputed in cyclotomic-field arithmetic (``CycNum``)
 instead of packed integers, and the quartic discriminant is recomputed as a
 resultant (``poly_discriminant``) instead of by its closed form.  The
 invariants and the on-curve test, which the package evaluates on integers
-with denominators cleared, are restated here in plain Fraction arithmetic.
+with denominators cleared, are restated here in plain Fraction arithmetic,
+and the j = 0 torsion subgroup, which the package reads off its
+classification, is found here by closing its 2- and 3-torsion under the
+group law.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from ceresa_kit.exactmath import (
     UPoly,
     cyclotomic_polynomial,
     rat,
+    rational_nth_root,
     rational_sqrt,
 )
 from ceresa_kit.repcrit import ActionProfile, ConjClass
@@ -237,6 +241,40 @@ def torsion_points_bruteforce(A, B) -> list[ECPoint]:
             break
         points |= extra
     return sorted(points, key=point_sort_key)
+
+
+def rational_torsion_j0_closure(d: RatLike) -> list[ECPoint]:
+    """Full rational torsion subgroup of y^2 = x^3 + D, by closure under addition.
+
+    2-torsion comes from the rational root of x^3 + D (at most one); the
+    3-division polynomial 3x^4 + 12Dx = 3x(x^3 + 4D) contributes x = 0 when
+    D is a square and x = cbrt(-4D) when -3D is a square.  The group is
+    then closed under addition.
+    """
+    d = rat(d)
+    if d == 0:
+        raise DomainError("y^2 = x^3 is singular")
+    curve = WeierstrassCurve(0, d)
+    found: set[ECPoint] = {INFINITY}
+    r = rational_nth_root(-d, 3)
+    if r is not None:
+        found.add(ECPoint(r, Fraction(0)))
+    s = rational_sqrt(d) if d > 0 else None
+    if s is not None:
+        found.add(ECPoint(Fraction(0), s))
+        found.add(ECPoint(Fraction(0), -s))
+    x1 = rational_nth_root(-4 * d, 3)
+    if x1 is not None:
+        t = rational_sqrt(-3 * d) if -3 * d > 0 else None
+        if t is not None:
+            found.add(ECPoint(x1, t))
+            found.add(ECPoint(x1, -t))
+    while True:
+        extra = {add(curve, p, q) for p in found for q in found} - found
+        if not extra:
+            break
+        found |= extra
+    return sorted(found, key=point_sort_key)
 
 
 def wedge3_invariants_bruteforce(exps, level: int) -> int:

@@ -330,7 +330,8 @@ def test_decide_and_scan_evaluate_invariants_once(monkeypatch):
 
 def test_decide_agrees_with_torsion_enumeration():
     # Independent production routes: exhaustive multiplication up to the
-    # Mazur bound vs division-polynomial enumeration plus group closure.
+    # Mazur bound vs the classification of j = 0 torsion, which uses no
+    # group law.
     from ceresa_kit.elliptic import rational_torsion_j0
 
     rng = random.Random(67)

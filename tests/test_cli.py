@@ -404,6 +404,18 @@ def test_exponent_literals_exit_with_domain_error(capsys):
     assert code == 2 and "exponent" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["invariants", "-a", "1_000", "-b", "0", "-c", "1"],
+    ["decide", "-a", "\uff11\uff12", "-b", "0", "-c", "1"],
+    ["invariants", "-a", "\u0661\u0662", "-b", "0", "-c", "1"],
+    ["scan", "--a-range", "0:1_0:5", "--b-range", "1", "--c-range", "1"],
+])
+def test_literals_outside_the_ascii_grammar_exit_with_domain_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid rational literal ") and err.count("\n") == 1
+
+
 def test_literal_cap_boundary_on_invariants(capsys):
     cap = MAX_LITERAL_CHARS
     # Pairwise coprime denominators of cap - 2 digits give disc about the

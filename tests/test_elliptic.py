@@ -21,7 +21,12 @@ from ceresa_kit.elliptic import (
 )
 from ceresa_kit.errors import DomainError
 from ceresa_kit.quartic import DepressedQuartic, invariants
-from oracles import on_curve_fraction, random_rational, torsion_points_bruteforce
+from oracles import (
+    on_curve_fraction,
+    random_rational,
+    rational_torsion_j0_closure,
+    torsion_points_bruteforce,
+)
 
 
 def curve_through(p1: ECPoint, p2: ECPoint) -> WeierstrassCurve:
@@ -194,6 +199,47 @@ def test_rational_torsion_j0_is_a_subgroup():
                 assert add(curve, p, q) in group
     assert sizes <= {1, 2, 3, 6}
     assert len(sizes) > 1
+
+
+nonzero_scales = st.fractions(min_value=-12, max_value=12, max_denominator=9).filter(bool)
+# One strategy per torsion shape of y^2 = x^3 + D, and plain rationals
+# (almost always trivial torsion).
+j0_coefficients = st.one_of(
+    nonzero_scales.map(lambda u: u**6),  # Z/6
+    nonzero_scales.map(lambda u: -(u**6)),  # Z/2
+    nonzero_scales.map(lambda u: u**2),  # Z/3, or Z/6 when u is a cube
+    nonzero_scales.map(lambda u: u**3),  # Z/2, or Z/6 when u is a square
+    nonzero_scales.map(lambda u: -432 * u**6),  # Z/3
+    nonzero_scales.map(lambda u: 16 * u**6),  # Z/3
+    st.fractions(max_denominator=10**6).filter(bool),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(j0_coefficients)
+@example(Fraction(64, 729))  # Z/6
+@example(Fraction(-8, 27))  # Z/2
+@example(Fraction(-432, 64))  # Z/3
+@example(Fraction(25, 4))  # Z/3
+@example(Fraction(7, 3))  # trivial
+def test_rational_torsion_j0_matches_the_closure_oracle(d):
+    assert rational_torsion_j0(d) == rational_torsion_j0_closure(d)
+
+
+def test_rational_torsion_j0_uses_no_group_law(monkeypatch):
+    import ceresa_kit.elliptic
+
+    ds = [Fraction(1), Fraction(-432), Fraction(2), Fraction(-8), Fraction(4, 9),
+          Fraction(-27, 8), Fraction(16, 729), Fraction(7, 3)]
+    expected = [rational_torsion_j0_closure(d) for d in ds]
+    assert {len(points) for points in expected} == {1, 2, 3, 6}
+
+    def refuse(*args):
+        raise AssertionError("group law used")
+
+    monkeypatch.setattr(ceresa_kit.elliptic, "add", refuse)
+    monkeypatch.setattr(ceresa_kit.elliptic, "WeierstrassCurve", refuse)
+    assert [rational_torsion_j0(d) for d in ds] == expected
 
 
 def test_velu_3isogeny_examples():

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ceresa_kit.errors import DomainError
 from ceresa_kit.exactmath import (
@@ -79,6 +81,42 @@ def test_rat_caps_literal_length_and_clips_messages():
         rat("1" * 100 + "e5")
     assert str(info.value) == (
         f"invalid rational literal {'1' * 40!r}…: no exponent notation")
+
+
+# The literal grammar of ``rat``, restated: an optional sign, then ASCII
+# digits with an optional "/digits" (not all zero), or a decimal with digits
+# on at least one side of the point.
+ASCII_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/0*[1-9][0-9]*)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+
+
+def test_rat_reads_every_form_of_the_grammar():
+    assert [rat(s) for s in ("+5", "-0", "007/010", "1.", ".5", "-.25", "+3.50", "\t2/3\n")] == [
+        5, 0, Fraction(7, 10), 1, Fraction(1, 2), Fraction(-1, 4), Fraction(7, 2), Fraction(2, 3)]
+
+
+@pytest.mark.parametrize("literal", [
+    "1_000", "1_0/3", "2/1_0", "1_0.5",  # underscores: read by Fraction on 3.11+
+    "1 / 2", "1/ 2", "1 /2", "- 1",  # spaces inside: "1 / 2" read by Fraction on 3.12+
+    "\uff11\uff12", "\u0661\u0662", "3/\u0664", "\u0967.5",  # non-ASCII digits: read by Fraction
+    "+-1", "1.5/2", "1/2.5", ".", "/2", "1/", "", " ", "1/0", "3/000", "0x10", "\u00bd", "inf", "nan",
+])
+def test_rat_refuses_literals_outside_the_ascii_grammar(literal):
+    with pytest.raises(DomainError) as info:
+        rat(literal)
+    assert str(info.value) == f"invalid rational literal {literal!r}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(st.sampled_from("0123456789+-./_ \t\uff11\u0661\u0967\u00a0\u2003"), max_size=10))
+@example("1_000")
+@example("\u2003-1.5\u00a0")
+def test_every_literal_rat_accepts_matches_the_ascii_grammar(literal):
+    try:
+        value = rat(literal)
+    except DomainError:
+        return
+    assert ASCII_RATIONAL.fullmatch(literal.strip())
+    assert value == Fraction(literal.strip())
 
 
 def test_rational_nth_root():
