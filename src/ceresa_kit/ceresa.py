@@ -55,18 +55,19 @@ class PicardCurve(Value):
 
 
 class ChowVerdict(Value):
-    """Torsion with the exact order of the invariant point, or non-torsion."""
+    """The exact order of the invariant point over Q; None when it is non-torsion."""
 
-    __slots__ = _fields = ("torsion", "point_order")
-    torsion: bool
+    __slots__ = _fields = ("point_order",)
     point_order: int | None
 
-    def __init__(self, torsion: bool, point_order: int | None):
-        super().__init__(torsion, point_order)
-        assert torsion == (point_order is not None)
+    @property
+    def torsion(self) -> bool:
+        return self.point_order is not None
 
     def to_json(self) -> dict:
-        return super().to_json() if self.torsion else {"torsion": False}
+        if self.point_order is None:
+            return {"torsion": False}
+        return {"torsion": True, "point_order": self.point_order}
 
 
 GRIFFITHS_TORSION = "torsion"
@@ -78,14 +79,23 @@ class CeresaVerdict(Value):
     ``chow.point_order`` is the order of the invariant point, which matches
     the torsion order of the Ceresa class only up to a bounded multiple; the
     verdict deliberately reports the point order, not the class order.
-    ``griffiths`` is constant: every Picard curve is torsion there.
+    ``griffiths`` is a class constant: every Picard curve is torsion there.
     """
 
-    __slots__ = _fields = ("chow", "griffiths", "invariants", "point")
-    chow: ChowVerdict
-    griffiths: str
-    invariants: QuarticInvariants
+    __slots__ = _fields = ("curve", "point", "chow")
+    curve: PicardCurve
     point: ECPoint  # invariant point on the short model y^2 = x^3 - 432*disc
+    chow: ChowVerdict
+    griffiths = GRIFFITHS_TORSION
+
+    def to_json(self) -> dict:
+        return {
+            "curve": self.curve.quartic.to_json(),
+            **self.curve.invariants.to_json(),
+            "P": self.point.to_json(),
+            "chow": self.chow.to_json(),
+            "griffiths": self.griffiths,
+        }
 
 
 def picard_invariant_point(curve: PicardCurve) -> tuple[WeierstrassCurve, ECPoint]:
@@ -100,19 +110,7 @@ def picard_invariant_point(curve: PicardCurve) -> tuple[WeierstrassCurve, ECPoin
 def decide(curve: PicardCurve) -> CeresaVerdict:
     """Chow verdict from the order of the invariant point over Q."""
     short_curve, point = picard_invariant_point(curve)
-    order = elliptic.torsion_order_q(short_curve, point)
-    chow = ChowVerdict(order is not None, order)
-    return CeresaVerdict(chow, GRIFFITHS_TORSION, curve.invariants, point)
-
-
-def verdict_to_json(curve: PicardCurve, verdict: CeresaVerdict) -> dict:
-    return {
-        "curve": curve.quartic.to_json(),
-        **verdict.invariants.to_json(),
-        "P": verdict.point.to_json(),
-        "chow": verdict.chow.to_json(),
-        "griffiths": verdict.griffiths,
-    }
+    return CeresaVerdict(curve, point, ChowVerdict(elliptic.torsion_order_q(short_curve, point)))
 
 
 def bielliptic_consistency(a: RatLike, c: RatLike) -> bool:
@@ -203,10 +201,9 @@ def _scan_one(a: Fraction, b: Fraction, c: Fraction) -> ScanRecord:
     except DomainError:
         inv = invariants(quartic)
         return ScanRecord(a, b, c, inv.I, inv.J, inv.disc, VERDICT_SKIPPED, None)
-    verdict = decide(curve)
-    inv, order = verdict.invariants, verdict.chow.point_order
-    label = VERDICT_TORSION if verdict.chow.torsion else VERDICT_NON_TORSION
-    return ScanRecord(a, b, c, inv.I, inv.J, inv.disc, label, order)
+    chow, inv = decide(curve).chow, curve.invariants
+    label = VERDICT_TORSION if chow.torsion else VERDICT_NON_TORSION
+    return ScanRecord(a, b, c, inv.I, inv.J, inv.disc, label, chow.point_order)
 
 
 def scan(

@@ -101,10 +101,10 @@ def _cmd_invariants(args) -> tuple[dict, Iterable[str]]:
 
 
 def _cmd_decide(args) -> tuple[dict, Iterable[str]]:
-    curve = PicardCurve.from_coefficients(args.a, args.b, args.c)
-    verdict = ceresa.decide(curve)
-    inv, chow = verdict.invariants, verdict.chow
-    return ceresa.verdict_to_json(curve, verdict), (
+    verdict = ceresa.decide(PicardCurve.from_coefficients(args.a, args.b, args.c))
+    curve, chow = verdict.curve, verdict.chow
+    inv = curve.invariants
+    return verdict.to_json(), (
         f"curve: y^3 = {curve.quartic}",
         f"I = {inv.I}, J = {inv.J}, disc = {inv.disc}",
         f"invariant point (short model y^2 = x^3 + ({-432 * inv.disc})): {verdict.point}",

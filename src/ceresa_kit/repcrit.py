@@ -392,7 +392,7 @@ def dihedral_vanishing(m: int, a: int, b: int) -> bool:
     full dihedral group exist exactly when they exist under the rotation
     subgroup.
     """
-    return dihedral_criterion(m, a, b)[1] is None
+    return dihedral_witness_triple(m, a, b) is None
 
 
 #: Built-in cyclic profiles: name -> (group order, generator exponents).

@@ -7,7 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ceresa_kit import ceresa
 from ceresa_kit.ceresa import (
+    GRIFFITHS_TORSION,
+    CeresaVerdict,
+    ChowVerdict,
     PicardCurve,
     VERDICT_NON_TORSION,
     VERDICT_SKIPPED,
@@ -19,7 +23,6 @@ from ceresa_kit.ceresa import (
     picard_invariant_point,
     scan,
     scan_csv_lines,
-    verdict_to_json,
 )
 from ceresa_kit.elliptic import (
     INFINITY,
@@ -110,13 +113,27 @@ def test_griffiths_verdict_is_constant():
 
 def test_verdict_json_schema():
     curve = PicardCurve.from_coefficients(-12, 1, -12)
-    payload = verdict_to_json(curve, decide(curve))
+    payload = decide(curve).to_json()
     assert payload["curve"] == {"a": "-12", "b": "1", "c": "-12"}
     assert payload["I"] == "0" and payload["J"] == "13797"
     assert payload["disc"] == "-7050267"
     assert payload["P"] == {"x": "0", "y": "55188"}
     assert payload["chow"] == {"torsion": True, "point_order": 3}
     assert payload["griffiths"] == "torsion"
+    assert decide(PicardCurve.from_coefficients(1, 0, 1)).to_json()["chow"] == {"torsion": False}
+
+
+def test_one_record_per_decision():
+    # The point order alone carries the Chow verdict, so torsion cannot
+    # disagree with it, with or without asserts.
+    assert "__init__" not in vars(ChowVerdict)
+    assert ChowVerdict(3).torsion and not ChowVerdict(None).torsion
+    # The verdict holds its curve; the Griffiths verdict is a class constant.
+    assert CeresaVerdict.griffiths == GRIFFITHS_TORSION == "torsion"
+    curve = PicardCurve.from_coefficients(-12, 1, -12)
+    verdict = decide(curve)
+    assert verdict.curve is curve and verdict == CeresaVerdict(curve, verdict.point, ChowVerdict(3))
+    assert not hasattr(ceresa, "verdict_to_json")
 
 
 def test_bielliptic_consistency_examples():

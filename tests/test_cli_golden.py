@@ -8,13 +8,17 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from ceresa_kit.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
+SRC = DATA.parent.parent / "src"
 CASES = json.loads((DATA / "cli_golden.json").read_text(encoding="utf-8"))
 
 
@@ -42,3 +46,13 @@ def test_check_replays_the_file_and_reports_each_mismatch(capsys, monkeypatch, t
     assert out.startswith(f"mismatch: {changed[1]['argv']}\n  code: expected 9, got ")
     assert out.endswith("3 cases, 1 mismatches\n")
     assert golden.read_text(encoding="utf-8") == json.dumps(changed)
+
+
+def test_check_passes_with_asserts_stripped():
+    # `python -O` drops every assert, so no CLI output may hang on one: the
+    # asserts left in the package check its own arithmetic, not its input.
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run([sys.executable, "-O", str(DATA / "make_cli_golden.py"), "--check"],
+                            capture_output=True, text=True, env=env, timeout=300)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, f"{len(CASES)} cases, 0 mismatches\n", "")

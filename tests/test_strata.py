@@ -1,7 +1,11 @@
 from __future__ import annotations
 
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from ceresa_kit.ceresa import PicardCurve, decide
 from ceresa_kit.errors import DomainError
 from ceresa_kit.repcrit import chow_criterion_applies, griffiths_criterion_applies, preset_profile
 from ceresa_kit.strata import (
@@ -131,3 +135,25 @@ def test_preset_criteria_match_stratum_verdicts():
     assert stratum_info("C9").chow_torsion
     assert griffiths_criterion_applies(preset_profile("picard_c3"))
     assert stratum_info("C3").griffiths_torsion
+
+
+nonzero = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**3).filter(bool)
+
+
+@settings(max_examples=50, deadline=None)
+@given(nonzero, nonzero)
+@example(Fraction(5), Fraction(7))
+@example(Fraction(3, 7), Fraction(-5, 3))
+def test_decide_witnesses_the_picard_strata_rows(b, c):
+    # The four strata of Picard curves y^3 = x^4 + ax^2 + bx + c: C9 holds the
+    # twists of y^3 = x^4 + x and G48 those of y^3 = x^4 + 1, both torsion at
+    # the Chow level; C3 and C6 each have a stored non-torsion member.
+    # Criterion (B) makes every Picard curve Griffiths-torsion.
+    witnesses = {"C9": ((0, b, 0), 3), "G48": ((0, 0, c), 2),
+                 "C3": ((1, 1, 1), None), "C6": ((1, 0, 1), None)}
+    for label, (coeffs, order) in witnesses.items():
+        verdict = decide(PicardCurve.from_coefficients(*coeffs))
+        record = stratum_info(label)
+        assert verdict.chow.point_order == order, (label, coeffs)
+        assert verdict.chow.torsion == record.chow_torsion
+        assert verdict.griffiths == "torsion" and record.griffiths_torsion

@@ -52,14 +52,12 @@ RECORDS = [
     (CURVE, ("quartic",),
      "PicardCurve(quartic=DepressedQuartic(a=Fraction(-12, 1), b=Fraction(1, 1), "
      "c=Fraction(-12, 1)))"),
-    (ChowVerdict(True, 3), ("torsion", "point_order"),
-     "ChowVerdict(torsion=True, point_order=3)"),
-    (ChowVerdict(False, None), ("torsion", "point_order"),
-     "ChowVerdict(torsion=False, point_order=None)"),
-    (decide(CURVE), ("chow", "griffiths", "invariants", "point"),
-     "CeresaVerdict(chow=ChowVerdict(torsion=True, point_order=3), griffiths='torsion', "
-     "invariants=QuarticInvariants(I=Fraction(0, 1), J=Fraction(13797, 1), "
-     "disc=Fraction(-7050267, 1)), point=ECPoint(x=Fraction(0, 1), y=Fraction(55188, 1)))"),
+    (ChowVerdict(3), ("point_order",), "ChowVerdict(point_order=3)"),
+    (ChowVerdict(None), ("point_order",), "ChowVerdict(point_order=None)"),
+    (decide(CURVE), ("curve", "point", "chow"),
+     "CeresaVerdict(curve=PicardCurve(quartic=DepressedQuartic(a=Fraction(-12, 1), "
+     "b=Fraction(1, 1), c=Fraction(-12, 1))), point=ECPoint(x=Fraction(0, 1), "
+     "y=Fraction(55188, 1)), chow=ChowVerdict(point_order=3))"),
     (next(scan([0], [1], [-1])), ("a", "b", "c", "I", "J", "disc", "verdict", "point_order"),
      "ScanRecord(a=Fraction(0, 1), b=Fraction(1, 1), c=Fraction(-1, 1), I=Fraction(-12, 1), "
      "J=Fraction(-27, 1), disc=Fraction(-283, 1), verdict='non_torsion', point_order=None)"),
@@ -102,7 +100,7 @@ def test_equality_and_hash_follow_the_field_tuple(record, fields):
 
 def test_records_differing_in_one_field_are_unequal():
     assert ECPoint(Fraction(1), Fraction(2)) != ECPoint(Fraction(1), Fraction(3))
-    assert ChowVerdict(True, 2) != ChowVerdict(True, 3)
+    assert ChowVerdict(2) != ChowVerdict(3)
     assert ConjClass(1, (0, 1)) != ConjClass(2, (0, 1))
     assert cyclic_profile(7, (1, 2, 4)) != cyclic_profile(7, (1, 2, 3))
     assert cyclic_profile(7, (1, 2, 4)) == cyclic_profile(7, (8, -5, 11))
@@ -174,7 +172,7 @@ def test_json_records_cover_every_class_inheriting_to_json():
 
 
 def test_readme_verdict_repr():
-    assert repr(decide(CURVE).chow) == "ChowVerdict(torsion=True, point_order=3)"
+    assert repr(decide(CURVE).chow) == "ChowVerdict(point_order=3)"
 
 
 def test_picard_curve_invariants_stay_out_of_eq_hash_and_repr():
@@ -203,7 +201,7 @@ def test_wrong_arity_is_a_type_error():
     with pytest.raises(TypeError):
         ECPoint(Fraction(1))
     with pytest.raises(TypeError):
-        ChowVerdict(True, 3, None)
+        ChowVerdict(3, None)
 
 
 # Every package module that `import ceresa_kit` loaded when the records were
