@@ -37,10 +37,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 #: Most points a `scan` grid may have: the product of its axis lengths,
-#: counted before any value is built.  The CLI decides about a thousand
-#: points a second (950 to 1,360 on 21^3 grids of integers and of sevenths,
-#: CPython 3.11 on a 2-vCPU machine), so a grid at the cap takes 12 to 18
-#: minutes.
+#: counted before any value is built.  The CLI decides two to three
+#: thousand points a second (2,000 on a 21^3 grid of sevenths and 2,670 on
+#: one of integers, CPython 3.11 on a 2-vCPU machine), so a grid at the cap
+#: takes 6 to 8.5 minutes.
 MAX_SCAN_POINTS = 10**6
 
 #: Most characters a `repcrit --profile` file may hold; only this many (and

@@ -8,8 +8,8 @@ denominators cleared, so there are no tolerances anywhere.
 
 Beyond the group law, this module provides:
 
-  * the torsion-order decision over Q (exhaustive multiplication up to the
-    Mazur bound of 12),
+  * the torsion-order decision over Q (the multiples 2P, ..., 10P and
+    12P: by Mazur no rational point has order 11 or above 12),
   * the rational torsion subgroup of a j = 0 curve y^2 = x^3 + D, read
     off its classification (no group law),
   * the 3-isogeny y^2 = x^3 + D  ->  y^2 = x^3 - 27D with kernel {x = 0}.
@@ -103,9 +103,14 @@ def negate(p: ECPoint) -> ECPoint:
 
 
 def add(e: WeierstrassCurve, p: ECPoint, q: ECPoint) -> ECPoint:
-    """Chord-tangent addition with infinity as the identity."""
+    """Chord-tangent addition with infinity as the identity; checks P and Q."""
     _require_on_curve(e, p)
     _require_on_curve(e, q)
+    return _add(e, p, q)
+
+
+def _add(e: WeierstrassCurve, p: ECPoint, q: ECPoint) -> ECPoint:
+    """The group law for points already known to be on the curve."""
     if p.is_infinity:
         return q
     if q.is_infinity:
@@ -130,9 +135,9 @@ def scalar_mul(e: WeierstrassCurve, n: int, p: ECPoint) -> ECPoint:
     addend = p
     while n:
         if n & 1:
-            result = add(e, result, addend)
+            result = _add(e, result, addend)
         if n > 1:
-            addend = add(e, addend, addend)
+            addend = _add(e, addend, addend)
         n >>= 1
     return result
 
@@ -140,17 +145,20 @@ def scalar_mul(e: WeierstrassCurve, n: int, p: ECPoint) -> ECPoint:
 def torsion_order_q(e: WeierstrassCurve, p: ECPoint) -> int | None:
     """Exact order of P in E(Q) if torsion, else None (infinite order).
 
-    Correct by Mazur's theorem: a rational torsion point has order at most
-    12, so computing 2P, ..., 12P (at most 11 additions) decides.
+    By Mazur's theorem a rational torsion point has order 1 to 10 or 12, so
+    2P, ..., 10P and 12P = 10P + 2P decide: 10 additions, of which only the
+    first, 2P, checks that P is on the curve (the multiples then are).
     """
     if p.is_infinity:
         return 1
-    acc = p
-    for n in range(2, MAZUR_BOUND + 1):
-        acc = add(e, acc, p)  # checks that P is on the curve on its first call
+    acc = two = add(e, p, p)
+    for n in range(2, 10):
         if acc.is_infinity:
             return n
-    return None
+        acc = _add(e, acc, p)
+    if acc.is_infinity:
+        return 10
+    return MAZUR_BOUND if _add(e, acc, two).is_infinity else None
 
 
 def rational_torsion_j0(d: RatLike) -> list[ECPoint]:

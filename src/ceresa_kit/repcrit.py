@@ -366,6 +366,10 @@ def dihedral_profile(m: int, a: int, b: int) -> CyclicProfile:
 def dihedral_witness_triple(m: int, a: int, b: int) -> tuple[int, int, int] | None:
     """First triple n1 < n2 < n3 of spectrum members with n1 + n2 + n3 = m."""
     _check_dihedral_params(m, a, b)
+    return _witness_triple(m, a, b)
+
+
+def _witness_triple(m: int, a: int, b: int) -> tuple[int, int, int] | None:
     spectrum = _epsilon_spectrum(m, a, b)
     members = set(spectrum)
     for i, n1 in enumerate(spectrum):
@@ -381,7 +385,8 @@ def dihedral_criterion(m: int, a: int, b: int) -> tuple[int, tuple[int, int, int
     # The genus is at least 3, as the criterion needs: 0 < a < b < m/2 makes
     # gcd(a, m) and gcd(b, m) divisors of m below m/2, so each is at most
     # m/3, and m + 1 - gcd(a, m) - gcd(b, m) >= m/3 + 1 > 2 since m >= 5.
-    return dihedral_genus(m, a, b), dihedral_witness_triple(m, a, b)
+    # dihedral_genus checks the parameters for both.
+    return dihedral_genus(m, a, b), _witness_triple(m, a, b)
 
 
 def dihedral_vanishing(m: int, a: int, b: int) -> bool:

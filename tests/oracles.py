@@ -11,7 +11,9 @@ invariants and the on-curve test, which the package evaluates on integers
 with denominators cleared, are restated here in plain Fraction arithmetic,
 and the j = 0 torsion subgroup, which the package reads off its
 classification, is found here by closing its 2- and 3-torsion under the
-group law.
+group law.  The torsion order, which the package decides from 2P, ..., 10P
+and 12P with one on-curve check, is found here by the plain walk
+2P, ..., 12P through the checked ``add``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from ceresa_kit.elliptic import (
     WeierstrassCurve,
     add,
     point_sort_key,
-    torsion_order_q,
 )
 from ceresa_kit.errors import DomainError, ProfileError
 from ceresa_kit.exactmath import (
@@ -208,6 +209,19 @@ def on_curve_fraction(e: WeierstrassCurve, p: ECPoint) -> bool:
     return p.is_infinity or p.y * p.y == p.x**3 + e.A * p.x + e.B
 
 
+def torsion_order_by_walk(e: WeierstrassCurve, p: ECPoint) -> int | None:
+    """Order of P if at most 12 (Mazur's bound), else None, by adding P to
+    itself: 2P, ..., 12P, each through the checked ``add``."""
+    if p.is_infinity:
+        return 1
+    acc = p
+    for n in range(2, 13):
+        acc = add(e, acc, p)
+        if acc.is_infinity:
+            return n
+    return None
+
+
 def torsion_points_bruteforce(A, B) -> list[ECPoint]:
     """Full rational torsion subgroup of y^2 = x^3 + Ax + B.
 
@@ -234,7 +248,7 @@ def torsion_points_bruteforce(A, B) -> list[ECPoint]:
         if s is not None:
             points.add(ECPoint(x0, s))
             points.add(ECPoint(x0, -s))
-    points = {p for p in points if torsion_order_q(curve, p) is not None}
+    points = {p for p in points if torsion_order_by_walk(curve, p) is not None}
     while True:
         extra = {add(curve, p, q) for p in points for q in points} - points
         if not extra:

@@ -25,6 +25,7 @@ from oracles import (
     on_curve_fraction,
     random_rational,
     rational_torsion_j0_closure,
+    torsion_order_by_walk,
     torsion_points_bruteforce,
 )
 
@@ -154,6 +155,44 @@ def test_torsion_order_of_a_point_of_infinite_order():
         assert not scalar_mul(curve, n, p).is_infinity
     # Nagell-Lutz: on an integral model torsion points have integral coordinates.
     assert scalar_mul(curve, 6, p) == affine(Fraction(99, 25), Fraction(-16632, 125))
+
+
+@pytest.fixture
+def law_counts(monkeypatch):
+    """Counts of the checked `add`, the unchecked `_add` and on-curve tests.
+
+    The checked `add` runs the law through `_add`, so `_add` counts every
+    addition and `add` the checked ones among them.
+    """
+    import ceresa_kit.elliptic as elliptic
+
+    calls = {"add": 0, "_add": 0, "contains": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(elliptic, "add", counted("add", elliptic.add))
+    monkeypatch.setattr(elliptic, "_add", counted("_add", elliptic._add))
+    monkeypatch.setattr(WeierstrassCurve, "contains",
+                        counted("contains", WeierstrassCurve.contains))
+    return calls
+
+
+def test_torsion_walk_checks_p_once_and_never_forms_11p(law_counts):
+    curve, p = tate_normal_form(Fraction(1), Fraction(2))
+    assert torsion_order_q(curve, p) is None
+    # 2P through the checked add (two on-curve tests of P), then 3P, ..., 10P
+    # and 12P = 10P + 2P: 1 + 9 additions, so 11P is never formed.
+    assert law_counts == {"add": 1, "_add": 1 + 9, "contains": 2}
+
+
+def test_torsion_walk_refuses_an_off_curve_point_before_any_addition(law_counts):
+    with pytest.raises(DomainError, match=r"point \(1, 1\) is not on"):
+        torsion_order_q(WeierstrassCurve(0, -432), affine(1, 1))
+    assert law_counts == {"add": 1, "_add": 0, "contains": 1}
 
 
 def test_rational_torsion_j0_examples():
@@ -388,3 +427,41 @@ def curves_through_a_point(draw, values):
 def test_contains_matches_the_fraction_oracle_on_general_curves(curve_and_point, delta):
     curve, point = curve_and_point
     assert_contains_matches_the_oracle(curve, point, delta)
+
+
+@st.composite
+def kubert_points(draw):
+    """A Tate-normal-form point of Kubert's family of one order, at a random t."""
+    order = draw(st.sampled_from([4, 5, 6, 7, 8, 9, 10, 12]))
+    t = draw(st.fractions(min_value=-9, max_value=9, max_denominator=9))
+    try:
+        return tate_normal_form(*kubert_family(order, t))
+    except (ZeroDivisionError, DomainError):  # t on a cusp of the family
+        assume(False)
+
+
+@st.composite
+def j0_torsion_points(draw):
+    """A rational torsion point of y^2 = x^3 + D, from its classification."""
+    d = draw(j0_coefficients)
+    return WeierstrassCurve(0, d), draw(st.sampled_from(rational_torsion_j0(d)))
+
+
+@st.composite
+def tate_points(draw):
+    """(0, 0) on a random Tate normal form, almost always of infinite order."""
+    b, c = draw(rational_values), draw(rational_values)
+    try:
+        return tate_normal_form(b, c)
+    except DomainError:  # singular
+        assume(False)
+
+
+@settings(max_examples=250, deadline=None)
+@given(kubert_points() | j0_torsion_points() | tate_points())
+@example(tate_normal_form(*kubert_family(12, Fraction(2))))
+@example((WeierstrassCurve(0, 1), affine(2, 3)))  # order 6
+@example(tate_normal_form(Fraction(1), Fraction(2)))  # infinite order
+def test_torsion_order_matches_the_walk_oracle(curve_and_point):
+    curve, point = curve_and_point
+    assert torsion_order_q(curve, point) == torsion_order_by_walk(curve, point)

@@ -209,6 +209,18 @@ def test_dihedral_witness_triple_refuses_what_dihedral_criterion_refuses():
             dihedral_witness_triple(m, a, b)
 
 
+def test_dihedral_criterion_checks_its_parameters_once(monkeypatch):
+    import ceresa_kit.repcrit as repcrit
+
+    checks = []
+    check = repcrit._check_dihedral_params
+    monkeypatch.setattr(repcrit, "_check_dihedral_params",
+                        lambda *params: checks.append(params) or check(*params))
+    assert dihedral_criterion(7, 1, 2) == (6, (1, 2, 4))
+    assert dihedral_criterion(9, 1, 3) == (6, None)
+    assert checks == [(7, 1, 2), (9, 1, 3)]
+
+
 def test_dihedral_vanishing_agrees_with_invariant_dimension_up_to_63():
     # m up to 63 covers every dihedral profile the benchmark's heavy calls draw.
     for m in range(3, 64):
