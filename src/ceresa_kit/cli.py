@@ -16,7 +16,7 @@ from . import ceresa, repcrit, strata
 from .ceresa import PicardCurve
 from .elliptic import WeierstrassCurve, affine, torsion_order_q
 from .errors import DomainError, quoted
-from .exactmath import max_literal_chars, rat
+from .exactmath import integer, max_literal_chars, rat
 from .quartic import DepressedQuartic, invariants
 
 
@@ -24,13 +24,16 @@ class UsageError(Exception):
     pass
 
 
+# A token that starts "-<digit>" or "-.<digit>" is a value, never a flag:
+# argparse's own pattern lets "-12" and "-1.5" through but would refuse the
+# negative rationals "-12/7" and ranges "-2:2".
+_NEGATIVE_VALUE = re.compile(r"^-\.?\d")
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # A token that starts "-<digit>" or "-.<digit>" is a value, never a
-        # flag: argparse's own pattern lets "-12" and "-1.5" through but
-        # would refuse the negative rationals "-12/7" and ranges "-2:2".
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = _NEGATIVE_VALUE
 
     def error(self, message):
         raise UsageError(message)
@@ -281,7 +284,7 @@ _COMMANDS = (
         _FORMAT,
     )),
     ("dihedral", "genus and triple criterion of a dihedral cover", _cmd_dihedral,
-     (*_required("-m", "-a", "-b", type=int), _FORMAT)),
+     (*_required("-m", "-a", "-b", type=integer), _FORMAT)),
     ("strata", "genus-3 automorphism strata table", _cmd_strata, (
         _arg("--group", default=None),
         _arg("--check", action="store_true"),
@@ -292,7 +295,7 @@ _COMMANDS = (
         _arg("--b-range", required=True),
         _arg("--c-range", required=True),
         _arg("--out", default=None),
-        _arg("--threads", type=int, default=None,
+        _arg("--threads", type=integer, default=None,
              help="accepted and ignored: scan runs in one thread, and its "
                   "output is the same for every value"),
     )),
@@ -300,30 +303,99 @@ _COMMANDS = (
 _COMMANDS_BY_NAME = {row[0]: row for row in _COMMANDS}
 
 
-def _add_command(parser: _Parser, handler, arguments) -> None:
-    for flags, options in arguments:
-        parser.add_argument(*flags, **options)
-    parser.set_defaults(handler=handler)
-
-
-def build_parser(command: str | None = None) -> _Parser:
-    """The ceresa-kit parser with every subcommand, or `command`'s alone.
-
-    A call that names its subcommand needs only that subcommand's
-    arguments: one flat parser, whose prog is the one argparse gives the
-    subparser, so its help and usage messages read the same.  Help and
-    usage messages about the command as a whole need the full parser.
-    """
-    if command is not None:
-        _, _, handler, arguments = _COMMANDS_BY_NAME[command]
-        parser = _Parser(prog=f"ceresa-kit {command}")
-        _add_command(parser, handler, arguments)
-        return parser
+def _full_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The parser with every subcommand, and each subcommand's parser by name."""
     parser = _Parser(prog="ceresa-kit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, help_text, handler, arguments in _COMMANDS:
-        _add_command(sub.add_parser(name, help=help_text), handler, arguments)
-    return parser
+        command = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            command.add_argument(*flags, **options)
+        command.set_defaults(handler=handler)
+    return parser, sub.choices
+
+
+def _dest(flags: tuple[str, ...]) -> str:
+    # argparse's rule: the first long flag, else the first flag, without its
+    # leading dashes and with "-" read as "_".
+    return ([f for f in flags if f.startswith("--")] or flags)[0].lstrip("-").replace("-", "_")
+
+
+def _read_plain(command: str, args: list[str]) -> argparse.Namespace | None:
+    """The namespace the full parser gives `command` `args`, if they are a plain call.
+
+    A call is plain when each token is one of the command's flags, spelt in
+    full, as "flag value" or "flag=value" (a store_true flag alone); no flag
+    is repeated and every required one is given; and each value is
+    nonempty, starts with "-" only as `_NEGATIVE_VALUE` allows, and passes
+    the flag's type and choices.  Any other call gives None.
+    """
+    _, _, handler, arguments = _COMMANDS_BY_NAME[command]
+    namespace = argparse.Namespace(command=command, handler=handler)
+    actions = {}
+    for flags, options in arguments:
+        dest = _dest(flags)
+        store_true = options.get("action") == "store_true"
+        setattr(namespace, dest, False if store_true else options.get("default"))
+        actions.update((flag, (dest, options)) for flag in flags)
+    given = set()
+    tokens = iter(args)
+    for token in tokens:
+        flag, equals, value = token.partition("=")
+        if flag not in actions or actions[flag][0] in given:
+            return None
+        dest, options = actions[flag]
+        given.add(dest)
+        if options.get("action") == "store_true":
+            if equals:
+                return None
+            value = True
+        else:
+            if not equals:
+                value = next(tokens, "")
+            if not value or (value[0] == "-" and not _NEGATIVE_VALUE.match(value)):
+                return None
+            if "type" in options:
+                try:
+                    value = options["type"](value)
+                except (TypeError, ValueError, argparse.ArgumentTypeError):
+                    return None
+            if "choices" in options and value not in options["choices"]:
+                return None
+        setattr(namespace, dest, value)
+    if any(options.get("required") and dest not in given for dest, options in actions.values()):
+        return None
+    return namespace
+
+
+class _CommandReader:
+    """One subcommand's arguments: a plain call read from `_COMMANDS`, any other by argparse."""
+
+    def __init__(self, command: str):
+        self.command = command
+
+    def parse_args(self, args: list[str]) -> argparse.Namespace:
+        namespace = _read_plain(self.command, args)
+        if namespace is None:
+            namespace = build_parser().parse_args([self.command, *args])
+        return namespace
+
+    def format_help(self) -> str:
+        return _full_parser()[1][self.command].format_help()
+
+
+def build_parser(command: str | None = None) -> _Parser | _CommandReader:
+    """The ceresa-kit parser with every subcommand, or a reader for `command`'s arguments.
+
+    The reader builds no parser for a plain call (see `_read_plain`): it
+    makes the namespace the full parser would make, straight from
+    `_COMMANDS`.  It hands every other call to the full parser, so help,
+    usage errors and exit codes are argparse's own, and its help is the
+    full parser's help for `command`.  Nothing is kept between calls.
+    """
+    if command is not None:
+        return _CommandReader(command)
+    return _full_parser()[0]
 
 
 def main(argv: list[str] | None = None) -> int:

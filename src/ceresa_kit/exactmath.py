@@ -38,9 +38,11 @@ RatLike = Fraction | int | str
 # `decide` and `scan` print for accepted input can be printed.
 MAX_LITERAL_CHARS = 390
 
-# The one ASCII grammar of ``rat`` on every supported Python: ``Fraction`` alone
-# also reads "1_000" on 3.11+, "1 / 2" on 3.12+ and non-ASCII digits ("１２").
+# The one ASCII grammar of ``rat`` and ``integer`` on every supported Python:
+# ``Fraction`` alone also reads "1_000" on 3.11+, "1 / 2" on 3.12+ and
+# non-ASCII digits ("１２"), and ``int`` reads "1_000" and "１２" too.
 _RATIONAL_LITERAL = re.compile(r"[+-]?(?:[0-9]+(?:/0*[1-9][0-9]*)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+_INTEGER_LITERAL = re.compile(r"[+-]?[0-9]+")
 
 
 def max_literal_chars() -> int:
@@ -75,6 +77,19 @@ def rat(value: RatLike) -> Fraction:
             raise DomainError(f"invalid rational literal {quoted(value)}")
         return Fraction(value.strip())
     raise DomainError(f"cannot interpret {quoted(value)} as an exact rational")
+
+
+def integer(text: str) -> int:
+    """Read an integer literal: an optional sign and ASCII digits, apart from
+    surrounding whitespace, as ``rat`` reads its integers.
+
+    ``int`` alone also reads "1_5" and non-ASCII digits ("１５").  Raises
+    ``ValueError`` as ``int`` does, so it can serve as an argparse type.
+    """
+    text = text.strip()
+    if not _INTEGER_LITERAL.fullmatch(text):
+        raise ValueError(f"invalid integer literal {quoted(text)}")
+    return int(text)
 
 
 def _int_nth_root(k: int, n: int) -> int:

@@ -51,7 +51,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, ProfileError, clipped, quoted
-from .exactmath import cyclotomic_polynomial, monic_divmod
+from .exactmath import cyclotomic_polynomial, integer, monic_divmod
 from .value import Value
 
 
@@ -421,7 +421,7 @@ def preset_profile(name: str) -> CyclicProfile:
         return cyclic_profile(*PRESETS[name])
     if name.startswith("dihedral:"):
         try:
-            m, a, b = (int(part) for part in name.split(":", 1)[1].split(","))
+            m, a, b = (integer(part) for part in name.split(":", 1)[1].split(","))
         except ValueError as exc:
             raise DomainError(f"expected dihedral:m,a,b, got {quoted(name)}") from exc
         return dihedral_profile(m, a, b)

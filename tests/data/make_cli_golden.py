@@ -11,6 +11,12 @@ Run from the repository root:  PYTHONPATH=src python tests/data/make_cli_golden.
 With --check it writes nothing: it replays every case of the file through
 `cli.main`, prints each mismatch and exits 1 on any, so an interpreter
 without pytest can check the output too.
+
+With --parser it writes nothing either: it reads every case's call, as
+given, with each "flag value" written "flag=value" and with its flags in
+reverse order, both through the single-command reader of `cli.build_parser`
+and through the full argparse parser, and exits 1 unless the reader reads
+each one itself and gets the same namespace.
 """
 
 from __future__ import annotations
@@ -82,6 +88,35 @@ def cases():
                "--c-range", ranges[2]]
 
 
+STORE_TRUE = {flags[0] for _, _, _, arguments in cli._COMMANDS
+              for flags, options in arguments if options.get("action") == "store_true"}
+
+
+def plain_calls():
+    """Each case's call, with "flag=value" spellings and its flags reversed."""
+    for argv in cases():
+        tokens, chunks = iter(argv[1:]), []
+        for token in tokens:
+            chunks.append([token] if token in STORE_TRUE else [token, next(tokens)])
+        joined = [["=".join(chunk)] for chunk in chunks]
+        for variant in (chunks, joined, chunks[::-1], joined[::-1]):
+            yield [argv[0], *(token for chunk in variant for token in chunk)]
+
+
+def check_parser() -> int:
+    calls = list(plain_calls())
+    parser = cli.build_parser()
+    mismatches = 0
+    for argv in calls:
+        plain = cli._read_plain(argv[0], argv[1:])
+        full = vars(parser.parse_args(argv))
+        if plain is None or vars(plain) != full:
+            mismatches += 1
+            print(f"mismatch: {argv}\n  reader: {plain!r}\n  parser: {full!r}")
+    print(f"{len(calls)} plain calls, {mismatches} mismatches")
+    return 1 if mismatches else 0
+
+
 def run(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -107,8 +142,10 @@ def check() -> int:
 def main(args: list[str]) -> int:
     if args == ["--check"]:
         return check()
+    if args == ["--parser"]:
+        return check_parser()
     if args:
-        print("usage: make_cli_golden.py [--check]", file=sys.stderr)
+        print("usage: make_cli_golden.py [--check | --parser]", file=sys.stderr)
         return 1
     results = [run(argv) for argv in cases()]
     OUT.write_text(json.dumps(results, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
+import io
 import json
 import math
 import os
@@ -416,6 +418,24 @@ def test_literals_outside_the_ascii_grammar_exit_with_domain_error(capsys, argv)
     assert err.startswith("error: invalid rational literal ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["dihedral", "-m", "\uff11\uff15", "-a", "1", "-b", "3"],
+    ["dihedral", "-m", "1_5", "-a", "1", "-b", "3"],
+    ["dihedral", "-m=15", "-a", "1", "-b", "\u0663"],
+    ["scan", "--a-range", "0", "--b-range", "1", "--c-range", "1", "--threads", "1_0"],
+])
+def test_integer_flags_outside_the_ascii_grammar_are_usage_errors(capsys, argv):
+    assert cli._read_plain(argv[0], argv[1:]) is None  # handed to argparse
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "") and err.startswith("usage error: argument ")
+
+
+@pytest.mark.parametrize("profile", ["dihedral:\uff11\uff15,1,3", "dihedral:1_5,1,3"])
+def test_dihedral_presets_outside_the_ascii_grammar_exit_with_domain_error(capsys, profile):
+    code, out, err = run(capsys, "repcrit", "--profile", profile)
+    assert (code, out, err) == (2, "", f"error: expected dihedral:m,a,b, got {quoted(profile)}\n")
+
+
 def test_literal_cap_boundary_on_invariants(capsys):
     cap = MAX_LITERAL_CHARS
     # Pairwise coprime denominators of cap - 2 digits give disc about the
@@ -608,6 +628,44 @@ def run_child(argv, stdout, **env):
 
 def test_one_call_each_covers_every_subcommand():
     assert list(ONE_CALL_EACH) == [row[0] for row in cli._COMMANDS]
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """The prog of every argparse parser built from here on."""
+    progs = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    return progs
+
+
+def _equals_spelling(argv: list[str]) -> list[str]:
+    return [f"{flag}={value}" for flag, value in zip(argv[::2], argv[1::2])]
+
+
+@pytest.mark.parametrize("name", ONE_CALL_EACH)
+def test_a_plain_call_builds_no_argparse_parser(name, capsys, parsers_built):
+    for argv in (ONE_CALL_EACH[name], _equals_spelling(ONE_CALL_EACH[name])):
+        assert run(capsys, name, *argv)[0] == 0
+    assert parsers_built == []
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("strata", ["-h"]),
+    ("decide", ["-a", "-12", "-b", "1", "-c", "-12", "--form", "json"]),  # abbreviated
+    ("invariants", ["-a", "1", "-b", "0", "-c", "1", "-a", "2"]),  # repeated
+    ("invariants", ["-a", "1", "-b", "0", "-c"]),  # missing value
+])
+def test_any_other_call_builds_the_full_parser_once(name, argv, parsers_built):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.suppress(SystemExit, cli.UsageError):
+        cli.build_parser(name).parse_args(argv)
+    assert parsers_built.count("ceresa-kit") == 1
 
 
 @pytest.mark.parametrize("name", ONE_CALL_EACH)

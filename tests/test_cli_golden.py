@@ -56,3 +56,11 @@ def test_check_passes_with_asserts_stripped():
                             capture_output=True, text=True, env=env, timeout=300)
     assert (result.returncode, result.stdout, result.stderr) == (
         0, f"{len(CASES)} cases, 0 mismatches\n", "")
+
+
+def test_parser_check_reads_every_case_without_argparse():
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run([sys.executable, str(DATA / "make_cli_golden.py"), "--parser"],
+                            capture_output=True, text=True, env=env, timeout=300)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, f"{4 * len(CASES)} plain calls, 0 mismatches\n", "")

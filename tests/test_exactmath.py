@@ -12,6 +12,7 @@ from ceresa_kit.exactmath import (
     MAX_LITERAL_CHARS,
     UPoly,
     cyclotomic_polynomial,
+    integer,
     monic_divmod,
     rat,
     rational_nth_root,
@@ -117,6 +118,32 @@ def test_every_literal_rat_accepts_matches_the_ascii_grammar(literal):
         return
     assert ASCII_RATIONAL.fullmatch(literal.strip())
     assert value == Fraction(literal.strip())
+
+
+def test_integer_reads_a_sign_and_ascii_digits():
+    assert [integer(s) for s in ("15", "+5", "-0", "007", "\t-12\n", "\u2003 3")] == [
+        15, 5, 0, 7, -12, 3]
+
+
+@pytest.mark.parametrize("literal", [
+    "1_5", "\uff11\uff15", "\u0661\u0662", "1\u0967",  # read by int()
+    "1 5", "- 1", "+-1", "1.0", "1/1", "0x10", "1e3", "", " ", "\u00bd",
+])
+def test_integer_refuses_literals_outside_the_ascii_grammar(literal):
+    with pytest.raises(ValueError, match="invalid integer literal"):
+        integer(literal)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from("0123456789+-_ \t\uff11\u0661\u00a0\u2003"), max_size=8))
+@example("1_5")
+def test_every_literal_integer_accepts_is_a_sign_and_ascii_digits(literal):
+    try:
+        value = integer(literal)
+    except ValueError:
+        return
+    assert re.fullmatch(r"[+-]?[0-9]+", literal.strip())
+    assert value == int(literal)
 
 
 def test_rational_nth_root():

@@ -327,6 +327,12 @@ def test_preset_names():
         preset_profile("nonsense")
     with pytest.raises(DomainError):
         preset_profile("dihedral:5,1")
+    # The parameters are integer literals: a sign and ASCII digits, as in `rat`.
+    assert preset_profile("dihedral: 5,+1,2 ") == dihedral_profile(5, 1, 2)
+    for name in ("dihedral:\uff15,1,2", "dihedral:1_5,1,2", "dihedral:5,1,\u0662",
+                 "dihedral:5,1.0,2"):
+        with pytest.raises(DomainError, match=r"^expected dihedral:m,a,b, got "):
+            preset_profile(name)
 
 
 @st.composite
