@@ -8,12 +8,12 @@ order of P over Q.  Modulo algebraic equivalence (the Griffiths group) the
 class is torsion for every Picard curve, so that verdict is a constant.
 
 The same point also organizes the explicit torsion families: for (I, J) on
-the discriminant-1 fiber E0: y^2 = 4x^3 - 27 and a parameter t with
-g(t) = t^3 - It/3 - J/27 nonzero, ``family_generate`` produces a quartic
-whose invariant point is the sextic twist (g^2 I, g^3 J) of (I, J) by the
-square g, hence of the same order over Q.  Every rational point of E0 of
-finite order therefore yields a one-parameter family of curves with the
-same torsion verdict.
+the discriminant-1 fiber E0: y^2 = 4x^3 - 27 and a rational parameter t,
+g(t) = t^3 - It/3 - J/27 is automatically nonzero, and ``family_generate``
+produces a quartic whose invariant point is the sextic twist (g^2 I, g^3 J)
+of (I, J) by the square g, hence of the same order over Q.  Every rational
+point of E0 of finite order therefore yields a one-parameter family of
+curves with the same torsion verdict.
 """
 
 from __future__ import annotations
@@ -141,23 +141,21 @@ def bielliptic_consistency(a: RatLike, c: RatLike) -> bool:
 def family_generate(inv_i: RatLike, inv_j: RatLike, t: RatLike) -> PicardCurve:
     """Member at parameter t of the torsion family attached to (I, J) on E0.
 
-    Requires J^2 = 4I^3 - 27 (the disc = 1 normalization) and
-    g(t) = t^3 - It/3 - J/27 nonzero.  The member is the quartic with
-    invariants (g^2 I, g^3 J) through the point (t*g, g^2) of
-    y^2 = x^3 - g^2 I x/3 - g^3 J/27, namely
+    Requires J^2 = 4I^3 - 27 (the disc = 1 normalization), so (I, J) is
+    (3, +-9) and g(t) = t^3 - It/3 - J/27 has no rational root.  The member
+    is the quartic with invariants (g^2 I, g^3 J) through the point (t*g, g^2)
+    of y^2 = x^3 - g^2 I x/3 - g^3 J/27, namely
 
         x^4 - (3*t*g/2) x^2 + g^2 x + (g^2 I/12 - 3*t^2 g^2/16),
 
     with discriminant g^6: the weighted rescaling of the fiber quartic by
     g(t)^(1/2) forces the g^2 factor on the I/12 term.  The discriminant g^6
-    is nonzero whenever g(t) is, so the member is always a valid curve.
+    is nonzero since g(t) is, so the member is always a valid curve.
     """
     inv_i, inv_j, t = rat(inv_i), rat(inv_j), rat(t)
     if inv_j**2 != 4 * inv_i**3 - 27:
         raise DomainError("(I, J) is not on y^2 = 4x^3 - 27")
     g = t**3 - inv_i * t / 3 - inv_j / 27
-    if g == 0:
-        raise DomainError(f"degenerate parameter: g({t}) = 0")
     return PicardCurve(from_invariant_point(g * g * inv_i, g**3 * inv_j, t * g, g * g))
 
 

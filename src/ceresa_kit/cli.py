@@ -16,7 +16,7 @@ from . import ceresa, repcrit, strata
 from .ceresa import PicardCurve
 from .elliptic import WeierstrassCurve, affine, torsion_order_q
 from .errors import DomainError, quoted
-from .exactmath import integer, max_literal_chars, rat
+from .exactmath import int_max_str_digits, integer, max_literal_chars, rat
 from .quartic import DepressedQuartic, invariants
 
 
@@ -130,7 +130,7 @@ def _cmd_torsion(args) -> tuple[dict, Iterable[str]]:
 def _check_member_printable(values) -> None:
     # A member's coefficients and disc have degree up to 18 in t, so a long
     # t reaches values that CPython refuses to convert to a decimal string.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    limit = int_max_str_digits()
     if limit and any(max(abs(v.numerator), v.denominator) >= 10**limit for v in values):
         raise DomainError(
             f"the family member has a value of more than {limit} digits, "

@@ -37,6 +37,8 @@ RatLike = Fraction | int | str
 # lowers the cap to fit a lower limit, so every value that `invariants`,
 # `decide` and `scan` print for accepted input can be printed.
 MAX_LITERAL_CHARS = 390
+#: CPython's current int-to-string digit limit, read live; 0 for none (3.10).
+int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 # The one ASCII grammar of ``rat`` and ``integer`` on every supported Python:
 # ``Fraction`` alone also reads "1_000" on 3.11+, "1 / 2" on 3.12+ and
@@ -47,7 +49,7 @@ _INTEGER_LITERAL = re.compile(r"[+-]?[0-9]+")
 
 def max_literal_chars() -> int:
     """The longest literal ``rat`` accepts under the current int-to-string limit."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    limit = int_max_str_digits()
     return min(MAX_LITERAL_CHARS, (limit - 6) // 11) if limit else MAX_LITERAL_CHARS
 
 

@@ -234,7 +234,7 @@ def _vector_to_dim(total: Sequence[int], scale: int, level: int) -> int:
     return dim
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=2)  # a call evaluates one profile, on V and on H1
 def _group_sums(profile: Profile, space: str) -> tuple[tuple[int, ...], ...]:
     """Sums of chi, chi^3, chi * chi2 and chi3 over the group, folded.
 
@@ -282,7 +282,7 @@ def _group_sums(profile: Profile, space: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_unpack(_fold(total, level, nbytes), level, nbytes) for total in sums)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=2)  # a call evaluates one profile, on V and on H1
 def dim_inv_wedge3(profile: Profile, space: str = "V") -> int:
     """Dimension of the group invariants of the exterior cube of V or of H^1."""
     if profile.dim < 3:
@@ -293,7 +293,7 @@ def dim_inv_wedge3(profile: Profile, space: str = "V") -> int:
     return _vector_to_dim(total, 6 * profile.group_order, profile.level)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=2)  # a call evaluates one profile, on V and on H1
 def invariant_dim(profile: Profile, space: str = "V") -> int:
     """Dimension of the group invariants of V or of H^1 = V + conjugate(V)."""
     return _vector_to_dim(_group_sums(profile, space)[0], profile.group_order, profile.level)
@@ -363,30 +363,26 @@ def dihedral_profile(m: int, a: int, b: int) -> CyclicProfile:
     return cyclic_profile(m, spectrum)
 
 
-def dihedral_witness_triple(m: int, a: int, b: int) -> tuple[int, int, int] | None:
-    """First triple n1 < n2 < n3 of spectrum members with n1 + n2 + n3 = m."""
-    _check_dihedral_params(m, a, b)
-    return _witness_triple(m, a, b)
-
-
-def _witness_triple(m: int, a: int, b: int) -> tuple[int, int, int] | None:
-    spectrum = _epsilon_spectrum(m, a, b)
-    members = set(spectrum)
-    for i, n1 in enumerate(spectrum):
-        for n2 in spectrum[i + 1:]:
-            n3 = m - n1 - n2
-            if n3 > n2 and n3 in members:
-                return (n1, n2, n3)
-    return None
-
-
 def dihedral_criterion(m: int, a: int, b: int) -> tuple[int, tuple[int, int, int] | None]:
     """Genus of the cover and its witness triple, None when the criterion holds."""
     # The genus is at least 3, as the criterion needs: 0 < a < b < m/2 makes
     # gcd(a, m) and gcd(b, m) divisors of m below m/2, so each is at most
     # m/3, and m + 1 - gcd(a, m) - gcd(b, m) >= m/3 + 1 > 2 since m >= 5.
     # dihedral_genus checks the parameters for both.
-    return dihedral_genus(m, a, b), _witness_triple(m, a, b)
+    genus = dihedral_genus(m, a, b)
+    spectrum = _epsilon_spectrum(m, a, b)
+    members = set(spectrum)
+    for i, n1 in enumerate(spectrum):
+        for n2 in spectrum[i + 1:]:
+            n3 = m - n1 - n2
+            if n3 > n2 and n3 in members:
+                return genus, (n1, n2, n3)
+    return genus, None
+
+
+def dihedral_witness_triple(m: int, a: int, b: int) -> tuple[int, int, int] | None:
+    """First triple n1 < n2 < n3 of spectrum members with n1 + n2 + n3 = m."""
+    return dihedral_criterion(m, a, b)[1]
 
 
 def dihedral_vanishing(m: int, a: int, b: int) -> bool:

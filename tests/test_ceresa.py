@@ -191,8 +191,8 @@ def test_family_generate_examples():
 
 def test_family_degenerate_parameter_is_unreachable_over_q():
     # The only rational (I, J) with J^2 = 4I^3 - 27 are (3, +-9), and there
-    # g(t) = t^3 - t -+ 1/3 has no rational roots, so the g(t) = 0 guard can
-    # never fire on rational input.
+    # g(t) = t^3 - t -+ 1/3 has no rational roots, so g(t) != 0 holds
+    # automatically on rational input and family_generate needs no guard.
     from ceresa_kit.exactmath import UPoly
     from oracles import rational_roots
 

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import importlib
 import math
+import pkgutil
 import random
 import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ceresa_kit
 from ceresa_kit import cli, repcrit
 from ceresa_kit.errors import DomainError, ProfileError
 from ceresa_kit.exactmath import UPoly, cyclotomic_polynomial
@@ -218,7 +221,9 @@ def test_dihedral_criterion_checks_its_parameters_once(monkeypatch):
                         lambda *params: checks.append(params) or check(*params))
     assert dihedral_criterion(7, 1, 2) == (6, (1, 2, 4))
     assert dihedral_criterion(9, 1, 3) == (6, None)
-    assert checks == [(7, 1, 2), (9, 1, 3)]
+    assert dihedral_witness_triple(7, 1, 2) == (1, 2, 4)
+    assert dihedral_vanishing(9, 1, 3)
+    assert checks == [(7, 1, 2), (9, 1, 3)] * 2
 
 
 def test_dihedral_vanishing_agrees_with_invariant_dimension_up_to_63():
@@ -264,12 +269,49 @@ def test_cyclic_sums_of_an_all_zero_generator(dim):
         assert invariant_dim(profile, "H1") == 2 * dim
 
 
-def _clear_package_caches():
+def _package_caches() -> dict:
+    """Every lru_cache of the package's imported modules, by "module.function"."""
+    found = {}
     for name, module in list(sys.modules.items()):
         if name.startswith("ceresa_kit."):
-            for value in vars(module).values():
+            for attr, value in vars(module).items():
                 if callable(getattr(value, "cache_clear", None)) and value.__module__ == name:
-                    value.cache_clear()
+                    found[f"{name[len('ceresa_kit.'):]}.{attr}"] = value
+    return found
+
+
+def _clear_package_caches():
+    for cache in _package_caches().values():
+        cache.cache_clear()
+
+
+#: The bound of every cache in the package, and why it suffices.  A new or a
+#: resized cache states its bound here.
+CACHE_BOUNDS = {
+    # The test oracles sweep levels; a call needs one.
+    "exactmath.cyclotomic_polynomial": 16,
+    "repcrit._phi_coeffs": 16,
+    # Keyed by (profile, space): a call evaluates one profile, on V and on H1.
+    "repcrit._group_sums": 2,
+    "repcrit.dim_inv_wedge3": 2,
+    "repcrit.invariant_dim": 2,
+}
+
+
+def test_every_package_cache_has_a_documented_bound():
+    for module in pkgutil.iter_modules(ceresa_kit.__path__):
+        importlib.import_module(f"ceresa_kit.{module.name}")
+    caches = _package_caches()
+    assert {name: cache.cache_info().maxsize for name, cache in caches.items()} == CACHE_BOUNDS
+
+
+def test_profile_caches_hold_one_evaluation_over_a_sweep():
+    for m in range(31, 51, 2):
+        profile = dihedral_profile(m, 1, 3)
+        griffiths_criterion_applies(profile)
+        chow_criterion_applies(profile)
+    for cache in (repcrit._group_sums, dim_inv_wedge3, invariant_dim):
+        assert cache.cache_info().currsize <= 2
 
 
 def test_one_repcrit_call_computes_each_invariant_once(monkeypatch, capsys):
