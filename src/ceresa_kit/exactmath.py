@@ -21,7 +21,6 @@ import re
 import sys
 from collections.abc import Iterable
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DomainError, quoted
 from .value import Value
@@ -323,9 +322,6 @@ def _stretch(coeffs: list[int], k: int) -> list[int]:
     return out
 
 
-# Phi_L near the level cap holds thousands of Fractions, so keep only a few
-# levels: the CLI reads one level per call, and a sweep visits them in order.
-@lru_cache(maxsize=16)
 def cyclotomic_polynomial(level: int) -> UPoly:
     """The cyclotomic polynomial of the given level.
 
@@ -334,6 +330,8 @@ def cyclotomic_polynomial(level: int) -> UPoly:
     exact division per distinct prime, in integer arithmetic (every
     cyclotomic polynomial is monic with integer coefficients).  That gives
     Phi_rad for the radical rad of L, and Phi_L(x) = Phi_rad(x^(L/rad)).
+    Nothing is cached: a caller that reads a level more than once keeps its
+    own copy.
     """
     if level < 1:
         raise DomainError("cyclotomic level must be positive")

@@ -62,6 +62,13 @@ from .value import Value
 #: second at the cap.  A larger level is refused before anything is built.
 MAX_LEVEL = 10**4
 
+#: Largest group order a profile may have.  The order sets the width of
+#: every packed digit (see `_digit_bytes`); at the cap group_order * d^3 stays
+#: below 2^100 for any dim d that a `cli.MAX_PROFILE_CHARS` file can list.  A
+#: larger order is refused before anything is built, and is not printed: it
+#: may have more digits than str() converts.
+MAX_GROUP_ORDER = 10**8
+
 
 def _check_level(level: int, what: str) -> None:
     if level > MAX_LEVEL:
@@ -87,6 +94,8 @@ class ActionProfile(Value):
     def __init__(self, group_order: int, level: int, classes: tuple[ConjClass, ...]):
         if group_order < 1 or level < 1:
             raise ProfileError("group order and level must be positive")
+        if group_order > MAX_GROUP_ORDER:
+            raise DomainError(f"group order is above the cap {MAX_GROUP_ORDER}")
         _check_level(level, "level")
         if not classes:
             raise ProfileError("profile has no conjugacy classes")
@@ -173,9 +182,11 @@ def profile_from_json(data: dict) -> ActionProfile:
 def _digit_bytes(profile: Profile, d: int) -> int:
     # A class contributes at most d^3 to any digit of chi^3 (and less to
     # chi*chi2 and chi3), so no digit of a group sum exceeds group_order * d^3;
-    # a cyclic profile's one cube has digits of at most d^3.  One spare bit,
-    # rounded up to whole bytes, keeps digits from carrying.
-    return ((profile.group_order * d**3).bit_length() + 8) // 8
+    # a cyclic profile's one cube has digits of at most d^3.  Every partial
+    # sum of a digit, in the class sums and in `_fold`, adds non-negative
+    # terms of that final digit, so it never exceeds the bound either, and
+    # the bound's bit length, rounded up to whole bytes, never carries.
+    return ((profile.group_order * d**3).bit_length() + 7) // 8
 
 
 def _counts(exps: Sequence[int], level: int) -> list[int]:
@@ -213,9 +224,9 @@ def _unpack(packed: int, level: int, nbytes: int) -> tuple[int, ...]:
                   for i in range(0, len(data), nbytes)])
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)  # a call reads one level
 def _phi_coeffs(level: int) -> tuple[int, ...]:
-    # The integer coefficients of Phi_L, converted from its Fractions once.
+    # The integer coefficients of Phi_L: the package's one copy of it.
     return tuple([int(c) for c in cyclotomic_polynomial(level).coeffs])
 
 

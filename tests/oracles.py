@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from ceresa_kit.elliptic import (
     ECPoint,
@@ -317,6 +318,11 @@ class NotRationalError(DomainError):
     """A cyclotomic number was asked to convert to a rational but is not one."""
 
 
+# The library builds Phi_L afresh on each call; the oracle reduces by it on
+# every CycNum operation, over the few small levels the tests use.
+_cyclotomic = lru_cache(maxsize=None)(cyclotomic_polynomial)
+
+
 class CycNum(Value):
     """An element of the cyclotomic field of the given level.
 
@@ -333,7 +339,7 @@ class CycNum(Value):
     def __init__(self, level: int, rep: UPoly):
         if level < 1:
             raise DomainError("cyclotomic level must be positive")
-        super().__init__(level, rep % cyclotomic_polynomial(level))
+        super().__init__(level, rep % _cyclotomic(level))
 
     @classmethod
     def from_rational(cls, value: RatLike, level: int = 1) -> CycNum:

@@ -31,8 +31,9 @@ from ceresa_kit import (
     torsion_order_q,
 )
 from ceresa_kit.cli import main
-from ceresa_kit.errors import DomainError, quoted
+from ceresa_kit.errors import DomainError, clipped, quoted
 from ceresa_kit.exactmath import MAX_LITERAL_CHARS
+from ceresa_kit.repcrit import ActionProfile, ConjClass
 
 
 def run(capsys, *argv):
@@ -263,15 +264,35 @@ def test_invariant_average_in_an_error_is_exact_when_short_and_cut_when_long(
     code, out, err = run(capsys, "repcrit", "--profile", str(short))
     assert (code, out) == (2, "")
     assert err == "error: invariant average -1/3 is not a nonnegative integer\n"
-    # Its numerator has more digits than CPython converts to a string.
+    long = Fraction(-(10**60) - 1, 3)
+    assert clipped(long) == str(long)[:40] + "…" == "-1" + "0" * 38 + "…"
+    assert clipped(Fraction(-1, 3)) == "-1/3"
+
+
+def test_group_order_above_the_cap_is_refused_before_anything_is_built(
+        capsys, tmp_path, monkeypatch):
+    cap = repcrit.MAX_GROUP_ORDER
+    refusal = f"error: group order is above the cap {cap}\n"
+    # An order with more digits than CPython converts to a string.
     order = 10**4299
     long = tmp_path / "long.json"
     long.write_text(json.dumps({"group_order": order, "level": 2, "classes": [
         {"size": 1, "exps": [0] * 30}, {"size": order - 1, "exps": [1] * 30}]}))
-    code, out, err = run(capsys, "repcrit", "--profile", str(long))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: invariant average -") and err.count("\n") == 1
-    assert "…" in err and len(err) < 120
+    assert run(capsys, "repcrit", "--profile", str(long)) == (2, "", refusal)
+    # An 8,119-byte file whose order would set the digit width of every
+    # product: the kernel never runs.
+    order = 10**4000
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"group_order": order, "level": 10**4, "classes": [
+        {"size": 1, "exps": [0, 0, 0]}, {"size": order - 1, "exps": [9997, 9998, 9999]}]}))
+    sums = []
+    monkeypatch.setattr(repcrit, "_group_sums", lambda *args: sums.append(args))
+    assert run(capsys, "repcrit", "--profile", str(wide)) == (2, "", refusal)
+    assert sums == []
+    identity = ConjClass(1, (0, 0, 0))
+    assert ActionProfile(cap, 1, (identity, ConjClass(cap - 1, (0, 0, 0)))).group_order == cap
+    with pytest.raises(DomainError, match=f"^group order is above the cap {cap}$"):
+        ActionProfile(cap + 1, 1, (identity, ConjClass(cap, (0, 0, 0))))
 
 
 def test_strata_subcommand(capsys):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import ceresa_kit
 from ceresa_kit import cli, repcrit
 from ceresa_kit.errors import DomainError, ProfileError
-from ceresa_kit.exactmath import UPoly, cyclotomic_polynomial
+from ceresa_kit.exactmath import UPoly
 from ceresa_kit.repcrit import (
     ActionProfile,
     ConjClass,
@@ -258,6 +258,16 @@ def test_cyclic_sums_match_the_class_sums_on_large_dihedral_profiles():
         checked += 1
 
 
+@pytest.mark.parametrize("order, dim, nbytes", [(1, 6, 1), (4, 4, 2)])
+def test_digit_width_is_the_bit_length_of_the_digit_bound(order, dim, nbytes):
+    # Every element is trivial, so the chi^3 digit of the V sum reaches its
+    # bound order * dim^3 (216: 8 bits; 256: 9 bits), and that digit's own
+    # bit length, in whole bytes, holds it without a carry.
+    profile = ActionProfile(order, 1, (ConjClass(1, (0,) * dim),) * order)
+    assert repcrit._digit_bytes(profile, dim) == nbytes
+    assert dim_inv_wedge3(profile, "V") == math.comb(dim, 3)
+
+
 @pytest.mark.parametrize("dim", [3, 255, 256, 300])
 def test_cyclic_sums_of_an_all_zero_generator(dim):
     # Every element acts trivially, so the counts reach dim (2 dim on H1):
@@ -288,9 +298,8 @@ def _clear_package_caches():
 #: The bound of every cache in the package, and why it suffices.  A new or a
 #: resized cache states its bound here.
 CACHE_BOUNDS = {
-    # The test oracles sweep levels; a call needs one.
-    "exactmath.cyclotomic_polynomial": 16,
-    "repcrit._phi_coeffs": 16,
+    # The package's one copy of Phi_L: a call reads one level.
+    "repcrit._phi_coeffs": 1,
     # Keyed by (profile, space): a call evaluates one profile, on V and on H1.
     "repcrit._group_sums": 2,
     "repcrit.dim_inv_wedge3": 2,
@@ -326,22 +335,22 @@ def test_one_repcrit_call_computes_each_invariant_once(monkeypatch, capsys):
     assert repcrit._group_sums.cache_info().misses == 2
     assert repcrit.dim_inv_wedge3.cache_info().misses == 2
     assert repcrit.invariant_dim.cache_info().misses == 1
-    assert cyclotomic_polynomial.cache_info().misses == 1
+    assert repcrit._phi_coeffs.cache_info().misses == 1
     assert len(reductions) == 3
 
 
 def test_cyclotomic_cache_stays_bounded_over_a_sweep_of_levels():
-    bound = cyclotomic_polynomial.cache_info().maxsize
-    profiles = [dihedral_profile(m, 1, 3) for m in range(7, 8 + 2 * bound)]
+    bound = repcrit._phi_coeffs.cache_info().maxsize
+    levels = range(7, 40)
+    profiles = [dihedral_profile(m, 1, 3) for m in levels]
     assert len({profile.level for profile in profiles}) > bound
     dim_inv_wedge3.cache_clear()
     dims = [dim_inv_wedge3(profile, "V") for profile in profiles]
-    assert cyclotomic_polynomial.cache_info().currsize <= bound
+    assert repcrit._phi_coeffs.cache_info().currsize <= bound
     # The early levels have left the cache; computed again, they agree.
     dim_inv_wedge3.cache_clear()
     assert [dim_inv_wedge3(profile, "V") for profile in reversed(profiles)] == dims[::-1]
-    assert [d == 0 for d in dims] == [
-        dihedral_witness_triple(m, 1, 3) is None for m in range(7, 8 + 2 * bound)]
+    assert [d == 0 for d in dims] == [dihedral_witness_triple(m, 1, 3) is None for m in levels]
 
 
 def test_profile_json_round_trip():
