@@ -46,13 +46,6 @@ class _Parser(argparse.ArgumentParser):
 #: takes 6 to 8.5 minutes.
 MAX_SCAN_POINTS = 10**6
 
-#: Most characters a `repcrit --profile` file may hold; only this many (and
-#: one more, to tell) are read.  A profile listing all 10^4 elements of a
-#: cyclic group at dim 62 is about 4 MB, a quarter of the cap; its class
-#: sums take about half an hour (CPython 3.11, 2 vCPUs), since each class
-#: costs products of level-long ints, and a file at the cap can take hours.
-MAX_PROFILE_CHARS = 2**24
-
 
 def _parse_axis(text: str) -> tuple[int, Iterable[Fraction]]:
     """A grid axis, "lo:hi[:step]" (inclusive) or a comma-separated list.
@@ -166,26 +159,8 @@ def _cmd_bielliptic(args) -> tuple[dict, Iterable[str]]:
     )
 
 
-def _load_profile(source: str) -> repcrit.Profile:
-    if source in repcrit.PRESET_NAMES or source.startswith("dihedral:"):
-        return repcrit.preset_profile(source)
-    try:
-        with open(source, encoding="utf-8") as handle:
-            text = handle.read(MAX_PROFILE_CHARS + 1)  # an endless stream stops here
-        data = json.loads(text) if len(text) <= MAX_PROFILE_CHARS else None
-    except OSError as exc:
-        raise DomainError(f"no such preset or profile file: {quoted(source)}") from exc
-    except (ValueError, RecursionError) as exc:  # undecodable, too long an integer, too deep
-        raise DomainError(f"invalid profile JSON in {quoted(source)}: {exc}") from exc
-    if len(text) > MAX_PROFILE_CHARS:
-        raise DomainError(
-            f"profile file {quoted(source)} has more than {MAX_PROFILE_CHARS} characters"
-        )
-    return repcrit.profile_from_json(data)
-
-
 def _cmd_repcrit(args) -> tuple[dict, Iterable[str]]:
-    profile = _load_profile(args.profile)
+    profile = repcrit.load_profile(args.profile)
     d_v = repcrit.dim_inv_wedge3(profile, "V")
     d3 = repcrit.dim_inv_wedge3(profile, "H1")
     d1 = repcrit.invariant_dim(profile, "H1")
@@ -305,18 +280,6 @@ _COMMANDS = (
 _COMMANDS_BY_NAME = {row[0]: row for row in _COMMANDS}
 
 
-def _full_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The parser with every subcommand, and each subcommand's parser by name."""
-    parser = _Parser(prog="ceresa-kit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, help_text, handler, arguments in _COMMANDS:
-        command = sub.add_parser(name, help=help_text)
-        for flags, options in arguments:
-            command.add_argument(*flags, **options)
-        command.set_defaults(handler=handler)
-    return parser, sub.choices
-
-
 def _dest(flags: tuple[str, ...]) -> str:
     # argparse's rule: the first long flag, else the first flag, without its
     # leading dashes and with "-" read as "_".
@@ -382,9 +345,6 @@ class _CommandReader:
             namespace = build_parser().parse_args([self.command, *args])
         return namespace
 
-    def format_help(self) -> str:
-        return _full_parser()[1][self.command].format_help()
-
 
 def build_parser(command: str | None = None) -> _Parser | _CommandReader:
     """The ceresa-kit parser with every subcommand, or a reader for `command`'s arguments.
@@ -392,12 +352,19 @@ def build_parser(command: str | None = None) -> _Parser | _CommandReader:
     The reader builds no parser for a plain call (see `_read_plain`): it
     makes the namespace the full parser would make, straight from
     `_COMMANDS`.  It hands every other call to the full parser, so help,
-    usage errors and exit codes are argparse's own, and its help is the
-    full parser's help for `command`.  Nothing is kept between calls.
+    usage errors and exit codes are argparse's own.  Nothing is kept
+    between calls.
     """
     if command is not None:
         return _CommandReader(command)
-    return _full_parser()[0]
+    parser = _Parser(prog="ceresa-kit", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, help_text, handler, arguments in _COMMANDS:
+        subparser = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            subparser.add_argument(*flags, **options)
+        subparser.set_defaults(handler=handler)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:

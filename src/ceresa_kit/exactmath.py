@@ -27,9 +27,9 @@ from .value import Value
 
 RatLike = Fraction | int | str
 
-# Longest string literal ``rat`` accepts at CPython's default limit of 4300
-# digits on int-to-string conversion.  A literal of L characters has a
-# numerator and a denominator below 10^L.  The printed quantity of highest
+# Longest string literal ``rat`` and ``integer`` accept at CPython's default
+# limit of 4300 digits on int-to-string conversion.  A literal of L characters
+# has a numerator and a denominator below 10^L.  The printed quantity of highest
 # degree is -432 * disc, disc of weight 12 in (a, b, c) of weights (2, 3, 4);
 # over the lcm of the denominators (at most a^4, b^4 and c^3) its numerator
 # and denominator have at most about 11 L + 6 digits.  `max_literal_chars`
@@ -47,9 +47,15 @@ _INTEGER_LITERAL = re.compile(r"[+-]?[0-9]+")
 
 
 def max_literal_chars() -> int:
-    """The longest literal ``rat`` accepts under the current int-to-string limit."""
+    """The longest literal ``rat`` and ``integer`` accept under the current int-to-string limit."""
     limit = int_max_str_digits()
     return min(MAX_LITERAL_CHARS, (limit - 6) // 11) if limit else MAX_LITERAL_CHARS
+
+
+def _check_length(text: str, kind: str) -> None:
+    cap = max_literal_chars()
+    if len(text) > cap:
+        raise DomainError(f"{kind} literal {quoted(text)} is longer than {cap} characters")
 
 
 def rat(value: RatLike) -> Fraction:
@@ -65,11 +71,7 @@ def rat(value: RatLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        cap = max_literal_chars()
-        if len(value) > cap:
-            raise DomainError(
-                f"rational literal {quoted(value)} is longer than {cap} characters"
-            )
+        _check_length(value, "rational")
         if "e" in value or "E" in value:
             raise DomainError(
                 f"invalid rational literal {quoted(value)}: no exponent notation"
@@ -85,8 +87,10 @@ def integer(text: str) -> int:
     surrounding whitespace, as ``rat`` reads its integers.
 
     ``int`` alone also reads "1_5" and non-ASCII digits ("１５").  Raises
-    ``ValueError`` as ``int`` does, so it can serve as an argparse type.
+    ``ValueError`` as ``int`` does, so it can serve as an argparse type: a
+    ``DomainError`` for a literal longer than ``max_literal_chars()``.
     """
+    _check_length(text, "integer")
     text = text.strip()
     if not _INTEGER_LITERAL.fullmatch(text):
         raise ValueError(f"invalid integer literal {quoted(text)}")

@@ -55,24 +55,25 @@ from .exactmath import cyclotomic_polynomial, integer, monic_divmod
 from .value import Value
 
 
-#: Largest eigenvalue level a profile may have, and largest m of a dihedral
-#: cover.  The kernel packs count vectors of `level` digits and cubes them,
-#: and a dihedral spectrum lists up to m - 1 members, so time and memory
-#: grow with the level: `repcrit --profile dihedral:m,1,3` takes under a
-#: second at the cap.  A larger level is refused before anything is built.
+# Caps on a profile, each checked before anything is built.  The kernel
+# packs count vectors of `level` digits and cubes them, and a dihedral
+# spectrum lists up to m - 1 members, so MAX_LEVEL (on the level and on m)
+# keeps `repcrit --profile dihedral:m,1,3` under a second.  The group order
+# sets the width of every packed digit (`_digit_bytes`): at MAX_GROUP_ORDER,
+# group_order * d^3 < 2^100 for any dim d that MAX_PROFILE_CHARS characters
+# can list; a refused order is not printed, as str() may not convert it.
+# The class count is left to MAX_PROFILE_CHARS, and each class costs
+# products of level-long ints: a 4 MB file listing all 10^4 elements of a
+# cyclic group at dim 62 takes about half an hour (CPython 3.11, 2 vCPUs),
+# and a file at the cap can take hours.
 MAX_LEVEL = 10**4
-
-#: Largest group order a profile may have.  The order sets the width of
-#: every packed digit (see `_digit_bytes`); at the cap group_order * d^3 stays
-#: below 2^100 for any dim d that a `cli.MAX_PROFILE_CHARS` file can list.  A
-#: larger order is refused before anything is built, and is not printed: it
-#: may have more digits than str() converts.
 MAX_GROUP_ORDER = 10**8
+MAX_PROFILE_CHARS = 2**24
 
 
 def _check_level(level: int, what: str) -> None:
     if level > MAX_LEVEL:
-        raise DomainError(f"{what} {level} is above the level cap {MAX_LEVEL}")
+        raise DomainError(f"{what} {clipped(level)} is above the level cap {MAX_LEVEL}")
 
 
 class ConjClass(Value):
@@ -344,10 +345,13 @@ def cyclic_profile(order: int, generator_exps: Sequence[int]) -> CyclicProfile:
 
 def _check_dihedral_params(m: int, a: int, b: int) -> None:
     if not (0 < a < b and 2 * b < m):
-        raise DomainError(f"need 0 < a < b < m/2, got (m, a, b) = ({m}, {a}, {b})")
-    if math.gcd(m, math.gcd(a, b)) != 1:
-        raise DomainError(f"need gcd(m, a, b) = 1, got ({m}, {a}, {b})")
-    _check_level(m, "m =")
+        need = "0 < a < b < m/2, got (m, a, b) ="
+    elif math.gcd(m, math.gcd(a, b)) != 1:
+        need = "gcd(m, a, b) = 1, got"
+    else:
+        _check_level(m, "m =")
+        return
+    raise DomainError(f"need {need} ({', '.join(map(clipped, (m, a, b)))})")
 
 
 def dihedral_genus(m: int, a: int, b: int) -> int:
@@ -433,3 +437,25 @@ def preset_profile(name: str) -> CyclicProfile:
             raise DomainError(f"expected dihedral:m,a,b, got {quoted(name)}") from exc
         return dihedral_profile(m, a, b)
     raise DomainError(f"unknown profile preset {quoted(name)}")
+
+
+def load_profile(source: str) -> Profile:
+    """The profile `source` names: a preset, "dihedral:m,a,b" or a JSON file,
+    of which at most MAX_PROFILE_CHARS characters (and one more, to tell) are read."""
+    if source in PRESETS or source.startswith("dihedral:"):
+        return preset_profile(source)
+    import json  # only where a file is decoded, so that importing the package loads no json
+
+    try:
+        with open(source, encoding="utf-8") as handle:
+            text = handle.read(MAX_PROFILE_CHARS + 1)  # an endless stream stops here
+        data = json.loads(text) if len(text) <= MAX_PROFILE_CHARS else None
+    except OSError as exc:
+        raise DomainError(f"no such preset or profile file: {quoted(source)}") from exc
+    except (ValueError, RecursionError) as exc:  # undecodable, too long an integer, too deep
+        raise DomainError(f"invalid profile JSON in {quoted(source)}: {exc}") from exc
+    if len(text) > MAX_PROFILE_CHARS:
+        raise DomainError(
+            f"profile file {quoted(source)} has more than {MAX_PROFILE_CHARS} characters"
+        )
+    return profile_from_json(data)

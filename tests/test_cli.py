@@ -32,7 +32,7 @@ from ceresa_kit import (
 )
 from ceresa_kit.cli import main
 from ceresa_kit.errors import DomainError, clipped, quoted
-from ceresa_kit.exactmath import MAX_LITERAL_CHARS
+from ceresa_kit.exactmath import MAX_LITERAL_CHARS, max_literal_chars
 from ceresa_kit.repcrit import ActionProfile, ConjClass
 
 
@@ -237,14 +237,14 @@ def test_level_at_the_cap_is_accepted(capsys, tmp_path, monkeypatch):
 
 def test_profile_file_at_the_character_cap_is_accepted(capsys, tmp_path, monkeypatch):
     path = Path(level_profile(tmp_path, 3))
-    monkeypatch.setattr(cli, "MAX_PROFILE_CHARS", len(path.read_text()))
+    monkeypatch.setattr(repcrit, "MAX_PROFILE_CHARS", len(path.read_text()))
     code, _, _ = run(capsys, "repcrit", "--profile", str(path))
     assert code == 0
     path.write_text(path.read_text() + " ")  # still valid JSON, one character over
     code, out, err = run(capsys, "repcrit", "--profile", str(path))
     assert (code, out) == (2, "")
     assert err == (f"error: profile file {quoted(str(path))} has more than "
-                   f"{cli.MAX_PROFILE_CHARS} characters\n")
+                   f"{repcrit.MAX_PROFILE_CHARS} characters\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
@@ -253,7 +253,7 @@ def test_endless_profile_file_is_refused_promptly(capsys):
     code, out, err = run(capsys, "repcrit", "--profile", "/dev/zero")
     assert time.perf_counter() - start < 5
     assert (code, out) == (2, "")
-    assert err == f"error: profile file '/dev/zero' has more than {cli.MAX_PROFILE_CHARS} characters\n"
+    assert err == f"error: profile file '/dev/zero' has more than {repcrit.MAX_PROFILE_CHARS} characters\n"
 
 
 def test_invariant_average_in_an_error_is_exact_when_short_and_cut_when_long(
@@ -567,7 +567,6 @@ def test_single_command_parser_matches_full_parser(capsys):
     full = _subparsers(cli.build_parser())
     assert [row[0] for row in cli._COMMANDS] == list(full)
     for name, subparser in full.items():
-        assert cli.build_parser(name).format_help() == subparser.format_help()
         code, out, err = run(capsys, name, "--help")
         assert code == 0 and err == ""
         assert out == subparser.format_help()
@@ -751,6 +750,40 @@ def test_a_long_value_of_any_flag_gives_one_short_error_line(capsys, monkeypatch
     assert domain_errors == {"-a", "-b", "-c", "-A", "-B", "-x", "-y", "-I", "-J", "-t",
                              "--profile", "--group", "--a-range", "--b-range", "--c-range",
                              "--out"}
+
+
+def test_a_long_integer_in_a_repcrit_error_is_clipped(capsys, tmp_path):
+    long_value = "9" * 300
+    level = tmp_path / "long-level.json"
+    level.write_text(json.dumps({"group_order": 1, "level": int(long_value),
+                                 "classes": [{"size": 1, "exps": [0, 0, 0]}]}))
+    argvs = [["repcrit", "--profile", str(level)]]
+    for at, flag in enumerate(("-m", "-a", "-b")):  # m, a and b, as flags and in a spec
+        argvs.append(["dihedral", *with_value(ONE_CALL_EACH["dihedral"], flag, long_value)])
+        params = ["7", "1", "2"]
+        params[at] = long_value
+        argvs.append(["repcrit", "--profile", "dihedral:" + ",".join(params)])
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.count("\n") == 1, (argv, err)
+        assert err.startswith("error: ") and len(err) <= MAX_ERROR_LINE, (argv, err)
+        assert f"{long_value[:40]}…" in err and long_value[:41] not in err, (argv, err)
+
+
+def test_an_integer_literal_has_the_length_cap_of_a_rational_one(capsys):
+    cap = max_literal_chars()
+    at_cap, over = "9" * cap, "9" * (cap + 1)
+    code, _, err = run(capsys, "dihedral", "-m", at_cap, "-a", "1", "-b", "3")
+    assert (code, err) == (2, f"error: m = {clipped(at_cap)} is above the level cap "
+                              f"{repcrit.MAX_LEVEL}\n")
+    code, _, err = run(capsys, "dihedral", "-m", over, "-a", "1", "-b", "3")
+    assert code == 1 and err.startswith("usage error: argument -m: invalid integer value")
+    code, _, err = run(capsys, "repcrit", "--profile", f"dihedral:{at_cap},1,3")
+    assert (code, err) == (2, f"error: m = {clipped(at_cap)} is above the level cap "
+                              f"{repcrit.MAX_LEVEL}\n")
+    code, _, err = run(capsys, "repcrit", "--profile", f"dihedral:{over},1,3")
+    assert (code, err) == (2, f"error: expected dihedral:m,a,b, got "
+                              f"{f'dihedral:{over}'[:40]!r}…\n")  # cut at 40 characters
 
 
 @pytest.mark.parametrize("axes, message", [

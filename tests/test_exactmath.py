@@ -134,6 +134,16 @@ def test_integer_refuses_literals_outside_the_ascii_grammar(literal):
         integer(literal)
 
 
+def test_integer_caps_literal_length_as_rat_does():
+    longest = "9" * MAX_LITERAL_CHARS
+    assert integer(longest) == 10**MAX_LITERAL_CHARS - 1
+    for literal in (longest + "9", " " + longest, "1" * 5001):
+        with pytest.raises(DomainError) as info:
+            integer(literal)
+        assert str(info.value) == (
+            f"integer literal {literal[:40]!r}… is longer than {MAX_LITERAL_CHARS} characters")
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text(st.sampled_from("0123456789+-_ \t\uff11\u0661\u00a0\u2003"), max_size=8))
 @example("1_5")

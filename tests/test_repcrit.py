@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import importlib
+import json
 import math
 import pkgutil
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -384,6 +387,40 @@ def test_preset_names():
                  "dihedral:5,1.0,2"):
         with pytest.raises(DomainError, match=r"^expected dihedral:m,a,b, got "):
             preset_profile(name)
+
+
+PICARD_JSON = json.dumps(cyclic_profile(3, (1, 1, 2)).to_json())
+
+
+@pytest.mark.parametrize("source, text, expected", [
+    ("klein_c7", None, cyclic_profile(7, (1, 2, 4))),
+    ("dihedral:9,1,3", None, dihedral_profile(9, 1, 3)),
+    ("c3.json", PICARD_JSON, profile_from_json(json.loads(PICARD_JSON))),
+    ("missing.json", None, "no such preset or profile file: 'missing.json'"),
+    ("long.json", PICARD_JSON + " ",
+     f"profile file 'long.json' has more than {len(PICARD_JSON)} characters"),
+], ids=["preset", "dihedral", "file", "missing", "over-cap"])
+def test_load_profile_reads_each_source(source, text, expected, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(repcrit, "MAX_PROFILE_CHARS", len(PICARD_JSON))  # c3.json is at the cap
+    if text is not None:
+        Path(source).write_text(text)
+    if isinstance(expected, str):
+        with pytest.raises(DomainError) as info:
+            repcrit.load_profile(source)
+        assert str(info.value) == expected
+    else:
+        assert repcrit.load_profile(source) == expected
+
+
+def test_importing_the_package_loads_no_json():
+    # load_profile imports json where it decodes a file, not at import time.
+    src = str(Path(ceresa_kit.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import ceresa_kit; "
+            "print('json' in sys.modules)")
+    done = subprocess.run([sys.executable, "-I", "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 @st.composite
