@@ -286,6 +286,23 @@ def _dest(flags: tuple[str, ...]) -> str:
     return ([f for f in flags if f.startswith("--")] or flags)[0].lstrip("-").replace("-", "_")
 
 
+def _plain_reader(handler, arguments) -> tuple:
+    # What `_read_plain` reads for one command: its handler, the default of
+    # each dest, flag -> (dest, add_argument keywords), and the required dests.
+    defaults, actions = {}, {}
+    for flags, options in arguments:
+        dest = _dest(flags)
+        defaults[dest] = False if options.get("action") == "store_true" else options.get("default")
+        actions.update((flag, (dest, options)) for flag in flags)
+    required = {dest for dest, options in actions.values() if options.get("required")}
+    return handler, defaults, actions, required
+
+
+# Built once at import, so that a plain call reads the table and builds nothing.
+_PLAIN_READERS = {name: _plain_reader(handler, arguments)
+                  for name, _, handler, arguments in _COMMANDS}
+
+
 def _read_plain(command: str, args: list[str]) -> argparse.Namespace | None:
     """The namespace the full parser gives `command` `args`, if they are a plain call.
 
@@ -295,14 +312,8 @@ def _read_plain(command: str, args: list[str]) -> argparse.Namespace | None:
     nonempty, starts with "-" only as `_NEGATIVE_VALUE` allows, and passes
     the flag's type and choices.  Any other call gives None.
     """
-    _, _, handler, arguments = _COMMANDS_BY_NAME[command]
-    namespace = argparse.Namespace(command=command, handler=handler)
-    actions = {}
-    for flags, options in arguments:
-        dest = _dest(flags)
-        store_true = options.get("action") == "store_true"
-        setattr(namespace, dest, False if store_true else options.get("default"))
-        actions.update((flag, (dest, options)) for flag in flags)
+    handler, defaults, actions, required = _PLAIN_READERS[command]
+    namespace = argparse.Namespace(command=command, handler=handler, **defaults)
     given = set()
     tokens = iter(args)
     for token in tokens:
@@ -328,9 +339,7 @@ def _read_plain(command: str, args: list[str]) -> argparse.Namespace | None:
             if "choices" in options and value not in options["choices"]:
                 return None
         setattr(namespace, dest, value)
-    if any(options.get("required") and dest not in given for dest, options in actions.values()):
-        return None
-    return namespace
+    return namespace if required <= given else None
 
 
 class _CommandReader:
@@ -352,8 +361,8 @@ def build_parser(command: str | None = None) -> _Parser | _CommandReader:
     The reader builds no parser for a plain call (see `_read_plain`): it
     makes the namespace the full parser would make, straight from
     `_COMMANDS`.  It hands every other call to the full parser, so help,
-    usage errors and exit codes are argparse's own.  Nothing is kept
-    between calls.
+    usage errors and exit codes are argparse's own.  The table it reads
+    is built once, at import; no parser is kept between calls.
     """
     if command is not None:
         return _CommandReader(command)

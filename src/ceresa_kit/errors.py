@@ -11,14 +11,17 @@ class ProfileError(DomainError):
 
 
 def quoted(value, limit: int = 40) -> str:
-    """``repr(value)`` for an error message, with a long string cut short.
+    """``repr(value)`` for an error message, cut short when it is long.
 
     A string longer than ``limit`` characters is cut to its first ``limit``
-    and followed by an ellipsis, so a huge literal cannot flood the message.
+    and then quoted; the repr of any other value is cut to its first
+    ``limit`` characters.  Either is followed by an ellipsis, so a huge
+    literal, list or object cannot flood the message.
     """
-    if isinstance(value, str) and len(value) > limit:
-        return f"{value[:limit]!r}…"
-    return repr(value)
+    if isinstance(value, str):
+        return f"{value[:limit]!r}…" if len(value) > limit else repr(value)
+    text = repr(value)
+    return text if len(text) <= limit else f"{text[:limit]}…"
 
 
 def clipped(value, limit: int = 40) -> str:

@@ -66,8 +66,8 @@ def rat(value: RatLike) -> Fraction:
     integer of unbounded size, and so is a string longer than
     ``max_literal_chars()`` or, once stripped, outside ``_RATIONAL_LITERAL``.
     """
-    if isinstance(value, Fraction):
-        return value
+    # int and str first: Fraction's metaclass is ABCMeta, so for any other
+    # type isinstance(value, Fraction) goes through ABCMeta.__instancecheck__.
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -79,6 +79,8 @@ def rat(value: RatLike) -> Fraction:
         if not _RATIONAL_LITERAL.fullmatch(value.strip()):
             raise DomainError(f"invalid rational literal {quoted(value)}")
         return Fraction(value.strip())
+    if isinstance(value, Fraction):
+        return value
     raise DomainError(f"cannot interpret {quoted(value)} as an exact rational")
 
 
@@ -307,9 +309,11 @@ def monic_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     deg = len(den) - 1
     if deg < 0 or den[-1] != 1:
         raise DomainError("divisor must be a monic polynomial")
-    terms = [(j, c) for j, c in enumerate(den[:-1]) if c]
     rem = list(num) + [0] * max(deg - len(num), 0)
     quot = [0] * max(len(num) - deg, 0)
+    if not quot:  # num has the lower degree: it is its own remainder
+        return quot, rem
+    terms = [(j, c) for j, c in enumerate(den[:-1]) if c]
     for base in range(len(quot) - 1, -1, -1):
         q = rem[base + deg]
         if q:

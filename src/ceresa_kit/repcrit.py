@@ -49,6 +49,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import DomainError, ProfileError, clipped, quoted
 from .exactmath import cyclotomic_polynomial, integer, monic_divmod
@@ -62,13 +63,16 @@ from .value import Value
 # sets the width of every packed digit (`_digit_bytes`): at MAX_GROUP_ORDER,
 # group_order * d^3 < 2^100 for any dim d that MAX_PROFILE_CHARS characters
 # can list; a refused order is not printed, as str() may not convert it.
-# The class count is left to MAX_PROFILE_CHARS, and each class costs
-# products of level-long ints: a 4 MB file listing all 10^4 elements of a
-# cyclic group at dim 62 takes about half an hour (CPython 3.11, 2 vCPUs),
-# and a file at the cap can take hours.
+# An ActionProfile's classes each cost products of level-long ints, so
+# MAX_CLASS_WORK caps classes * level.  Timed slices at level 10^4 and order
+# 10^8 with dense exponents (CPython 3.11, 2 vCPUs) took up to about 0.6 s a
+# class, so a file at the cap (15 classes at level 10^4) takes about 10 s;
+# the cost of a class grows faster than its level, so a lower level with
+# more classes takes less.
 MAX_LEVEL = 10**4
 MAX_GROUP_ORDER = 10**8
 MAX_PROFILE_CHARS = 2**24
+MAX_CLASS_WORK = 15 * 10**4
 
 
 def _check_level(level: int, what: str) -> None:
@@ -100,6 +104,9 @@ class ActionProfile(Value):
         _check_level(level, "level")
         if not classes:
             raise ProfileError("profile has no conjugacy classes")
+        if len(classes) * level > MAX_CLASS_WORK:
+            raise DomainError(f"{len(classes)} classes at level {level} are above the cap "
+                              f"{MAX_CLASS_WORK} on classes * level")
         dims = {len(cls.exps) for cls in classes}
         if len(dims) != 1:
             raise ProfileError("conjugacy classes disagree on dim V")
@@ -228,7 +235,7 @@ def _unpack(packed: int, level: int, nbytes: int) -> tuple[int, ...]:
 @lru_cache(maxsize=1)  # a call reads one level
 def _phi_coeffs(level: int) -> tuple[int, ...]:
     # The integer coefficients of Phi_L: the package's one copy of it.
-    return tuple([int(c) for c in cyclotomic_polynomial(level).coeffs])
+    return tuple([c.numerator for c in cyclotomic_polynomial(level).coeffs])
 
 
 def _vector_to_dim(total: Sequence[int], scale: int, level: int) -> int:
@@ -253,32 +260,35 @@ def _group_sums(profile: Profile, space: str) -> tuple[tuple[int, ...], ...]:
     chi is the character of V or H^1 on a group element h, chi2 and chi3
     its values on h^2 and h^3.  An ActionProfile sums size * value over its
     classes, each value packed from a count vector.  Over a cyclic group of
-    order n with the space's exponent multiset E and count vector c,
-    chi(g^k) = P(zeta^k) for the packed count vector P, and the sum of
-    zeta^(jk) over k is n when n divides j and 0 otherwise.  So the sums are
-    n * c[0], n times the constant term of P^3 folded mod x^n - 1 (the one
-    product), n * (sum of c[-2e] over e in E) and n * #{e in E : 3e = 0},
-    each returned as a vector of length one.
+    order n, the space's count vector c is the generator's on V, and
+    c_V[i] + c_V[-i] on H^1.  chi(g^k) = P(zeta^k) for the packed count
+    vector P, and the sum of zeta^(jk) over k is n when n divides j and 0
+    otherwise.  So the sums are n * c[0], n times the constant term of P^3
+    folded mod x^n - 1 (the one product), n * (sum of c[i] * c[-2i]) and
+    n * (sum of c[i] over the i with 3i = 0), each returned as a vector of
+    length one.
     """
     if space not in ("V", "H1"):
         raise DomainError(f"unknown space {space!r}; expected 'V' or 'H1'")
     level = profile.level
     nbytes = _digit_bytes(profile, profile.dim if space == "V" else 2 * profile.dim)
 
+    if isinstance(profile, CyclicProfile):
+        counts = _counts(profile.generator, level)
+        if space == "H1":  # each eigenvalue of V with its conjugate: c[i] + c[-i]
+            counts = [a + b for a, b in zip(counts, counts[:1] + counts[:0:-1])]
+        packed = _pack(counts, nbytes)
+        digit = (1 << 8 * nbytes) - 1  # mask of digit 0, the constant term
+        cube = _fold(packed * packed * packed, level, nbytes) & digit
+        # c[i] * c[-2i] for i = 1, ..., n: c[-2i] is entry 2n - 2i of c + c
+        cross = sum(map(mul, counts[1:] + counts[:1], (counts * 2)[-2::-2]))
+        triple = sum(counts[::level // math.gcd(3, level)])  # the i with 3i = 0
+        return tuple((level * total,) for total in (counts[0], cube, cross, triple))
+
     def exponents(exps):
         if space == "H1":  # each eigenvalue of V together with its conjugate
             return exps + tuple([-e % level for e in exps])
         return exps
-
-    if isinstance(profile, CyclicProfile):
-        exps = exponents(profile.generator)
-        counts = _counts(exps, level)
-        packed = _pack(counts, nbytes)
-        digit = (1 << 8 * nbytes) - 1  # mask of digit 0, the constant term
-        cube = _fold(packed * packed * packed, level, nbytes) & digit
-        cross = sum([counts[-2 * e % level] for e in exps])
-        triple = sum([1 for e in exps if 3 * e % level == 0])
-        return tuple((level * total,) for total in (counts[0], cube, cross, triple))
 
     def characters(exps):
         exps = exponents(exps)

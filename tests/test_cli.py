@@ -295,6 +295,31 @@ def test_group_order_above_the_cap_is_refused_before_anything_is_built(
         ActionProfile(cap + 1, 1, (identity, ConjClass(cap, (0, 0, 0))))
 
 
+def test_class_work_above_the_cap_is_refused_before_the_class_sums(
+        capsys, tmp_path, monkeypatch):
+    # All 10^4 elements of a cyclic group listed at dim 62: a 3.9 MB file
+    # whose class sums would run for about half an hour.
+    n = 10**4
+    rng = random.Random(62)
+    generator = [rng.randrange(n) for _ in range(62)]
+    listing = tmp_path / "listing.json"
+    listing.write_text(json.dumps({"group_order": n, "level": n, "classes": [
+        {"size": 1, "exps": [k * e % n for e in generator]} for k in range(n)]}))
+    sums = []
+    monkeypatch.setattr(repcrit, "_group_sums", lambda *args: sums.append(args))
+    assert run(capsys, "repcrit", "--profile", str(listing)) == (
+        2, "", f"error: {n} classes at level {n} are above the cap "
+               f"{repcrit.MAX_CLASS_WORK} on classes * level\n")
+    assert sums == []
+    identity, flip = ConjClass(1, (0, 0, 0)), ConjClass(1, (3, 3, 3))
+    monkeypatch.setattr(repcrit, "MAX_CLASS_WORK", 12)
+    assert ActionProfile(2, 6, (identity, flip)).level == 6
+    monkeypatch.setattr(repcrit, "MAX_CLASS_WORK", 11)
+    with pytest.raises(DomainError,
+                       match=r"^2 classes at level 6 are above the cap 11 on classes \* level$"):
+        ActionProfile(2, 6, (identity, flip))
+
+
 def test_strata_subcommand(capsys):
     payload = run_json(capsys, "strata", "--group", "C9", "--format", "json")
     assert payload["chow_torsion"] is True
@@ -768,6 +793,28 @@ def test_a_long_integer_in_a_repcrit_error_is_clipped(capsys, tmp_path):
         assert (code, out) == (2, "") and err.count("\n") == 1, (argv, err)
         assert err.startswith("error: ") and len(err) <= MAX_ERROR_LINE, (argv, err)
         assert f"{long_value[:40]}…" in err and long_value[:41] not in err, (argv, err)
+
+
+@pytest.mark.parametrize("value", [
+    list(range(2000)),
+    {f"key{i}": i for i in range(500)},
+    json.loads("[" * 500 + "]" * 500),
+], ids=["long-list", "object", "nested-list"])
+def test_a_long_json_value_in_a_profile_error_is_cut(capsys, tmp_path, value):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"group_order": 1, "level": 1,
+                                "classes": [{"size": value, "exps": [0, 0, 0]}]}))
+    code, out, err = run(capsys, "repcrit", "--profile", str(path))
+    assert (code, out) == (2, "") and err.count("\n") == 1, err
+    assert err.startswith("error: malformed profile JSON: expected an integer, got ")
+    assert len(err) <= MAX_ERROR_LINE and err.endswith(f"{repr(value)[:40]}…\n"), err
+
+
+def test_quoted_cuts_any_long_repr_and_keeps_the_string_form():
+    assert quoted("x" * 40) == repr("x" * 40)
+    assert quoted("x" * 41) == f"{'x' * 40!r}…"
+    assert quoted([1, 2]) == "[1, 2]"
+    assert quoted(list(range(100))) == repr(list(range(100)))[:40] + "…"
 
 
 def test_an_integer_literal_has_the_length_cap_of_a_rational_one(capsys):

@@ -55,6 +55,22 @@ def test_rat_parsing_and_serialization():
         rat("abc")
     with pytest.raises(DomainError):
         rat(1.5)
+    # bool and any other int subclass read as their int value; a Fraction
+    # (a subclass too) is returned as it is.
+    assert rat(True) == 1 and type(rat(True)) is Fraction
+    assert rat(False) == 0 and type(rat(False)) is Fraction
+
+    class Count(int):
+        pass
+
+    class Ratio(Fraction):
+        pass
+
+    assert rat(Count(7)) == 7 and type(rat(Count(7))) is Fraction
+    half = Ratio(1, 2)
+    assert rat(half) is half
+    third = Fraction(1, 3)
+    assert rat(third) is third
 
 
 def test_rat_rejects_exponent_notation():

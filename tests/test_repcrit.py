@@ -244,6 +244,31 @@ def test_dihedral_vanishing_agrees_with_invariant_dimension_up_to_63():
                 assert triple_free == (dim == 0)
 
 
+#: Cyclic generators that exercise each count of the generator path:
+#: exponent 0, repeats, self-conjugate exponents (n/2), exponents with
+#: 3e = 0 mod n, and levels 1, 2, multiples of 3 and levels prime to 3.
+GENERATOR_EDGE_CASES = [
+    (1, (0, 0, 0)),
+    (2, (1, 1, 0)),
+    (2, (1, 1, 1, 1)),
+    (3, (0, 1, 1, 2)),
+    (6, (0, 2, 2, 4, 3)),
+    (9, (3, 3, 6, 1, 0)),
+    (12, (0, 4, 8, 8, 6, 1)),
+    (4, (2, 2, 1, 3, 0)),
+    (7, (2, 2, 2, 4, 0)),
+    (10, (5, 5, 0, 2, 2, 8)),
+    (11, (1, 1, 2, 9, 10)),
+]
+
+
+def _with_generator_edge_cases(test):
+    """`test` with a Hypothesis example for each of GENERATOR_EDGE_CASES."""
+    for order, generator in GENERATOR_EDGE_CASES:
+        test = example(cyclic_profile(order, generator))(test)
+    return test
+
+
 def test_cyclic_sums_match_the_class_sums_on_large_dihedral_profiles():
     rng = random.Random(67)
     checked = 0
@@ -259,6 +284,14 @@ def test_cyclic_sums_match_the_class_sums_on_large_dihedral_profiles():
             assert dim_inv_wedge3(profile, space) == dim_inv_wedge3(classes, space)
         assert invariant_dim(profile, "H1") == invariant_dim(classes, "H1")
         checked += 1
+    # Generators with exponent 0 and repeated exponents, at levels 1 and 2,
+    # at levels divisible by 3 and at levels that are not.
+    for order, generator in GENERATOR_EDGE_CASES:
+        profile = cyclic_profile(order, generator)
+        classes = ActionProfile(profile.group_order, profile.level, profile.classes)
+        for space in ("V", "H1"):
+            assert dim_inv_wedge3(profile, space) == dim_inv_wedge3(classes, space)
+            assert invariant_dim(profile, space) == invariant_dim(classes, space)
 
 
 @pytest.mark.parametrize("order, dim, nbytes", [(1, 6, 1), (4, 4, 2)])
@@ -517,6 +550,7 @@ def _assert_kernel_matches_cyclotomic_reference(profile):
 @given(cyclic_profiles())
 @example(cyclic_profile(4, (0,)))
 @example(cyclic_profile(6, (3, 0)))
+@_with_generator_edge_cases
 def test_kernel_matches_cyclotomic_reference_on_cyclic_profiles(profile):
     _assert_kernel_matches_cyclotomic_reference(profile)
     # The generator path against the class sums over the same elements.
