@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import re
@@ -15,7 +14,7 @@ from fractions import Fraction
 from . import ceresa, repcrit, strata
 from .ceresa import PicardCurve
 from .elliptic import WeierstrassCurve, affine, torsion_order_q
-from .errors import DomainError, quoted
+from .errors import DomainError, clipped, quoted
 from .exactmath import int_max_str_digits, integer, max_literal_chars, rat
 from .quartic import DepressedQuartic, invariants
 
@@ -100,16 +99,18 @@ def _cmd_invariants(args) -> tuple[dict, Iterable[str]]:
 
 def _cmd_decide(args) -> tuple[dict, Iterable[str]]:
     verdict = ceresa.decide(PicardCurve.from_coefficients(args.a, args.b, args.c))
+    return verdict.to_json(), _decide_lines(verdict)
+
+
+def _decide_lines(verdict: ceresa.CeresaVerdict) -> Iterator[str]:
     curve, chow = verdict.curve, verdict.chow
     inv = curve.invariants
-    return verdict.to_json(), (
-        f"curve: y^3 = {curve.quartic}",
-        f"I = {inv.I}, J = {inv.J}, disc = {inv.disc}",
-        f"invariant point (short model y^2 = x^3 + ({-432 * inv.disc})): {verdict.point}",
-        f"chow: torsion (point order {chow.point_order})" if chow.torsion
-        else "chow: non-torsion",
-        f"griffiths: {verdict.griffiths}",
-    )
+    yield f"curve: y^3 = {curve.quartic}"
+    yield f"I = {inv.I}, J = {inv.J}, disc = {inv.disc}"
+    yield f"invariant point (short model y^2 = x^3 + ({-432 * inv.disc})): {verdict.point}"
+    yield (f"chow: torsion (point order {chow.point_order})" if chow.torsion
+           else "chow: non-torsion")
+    yield f"griffiths: {verdict.griffiths}"
 
 
 def _cmd_torsion(args) -> tuple[dict, Iterable[str]]:
@@ -175,20 +176,26 @@ def _cmd_repcrit(args) -> tuple[dict, Iterable[str]]:
         "h1_invariants": d1,
         "prim3_invariants": d3 - d1,
     }
-    lines = [
-        f"group order {profile.group_order}, level {profile.level}, dim V = {profile.dim}",
-        f"dim (wedge^3 V)^G = {d_v}",
-        f"dim (wedge^3 H1)^G = {d3}, dim (H1)^G = {d1}, primitive part = {d3 - d1}",
-    ]
     if args.criterion in (None, "a"):
         document["criterion_a"] = crit_a
-        lines.append(f"criterion a (chow-level, primitive H^3 invariants vanish): "
-                     f"{'holds' if crit_a else 'fails'}")
     if args.criterion in (None, "b"):
         document["criterion_b"] = crit_b
-        lines.append(f"criterion b (griffiths-level, wedge^3 V invariants vanish): "
-                     f"{'holds' if crit_b else 'fails'}")
-    return document, lines
+    return document, _repcrit_lines(document)
+
+
+def _repcrit_lines(document: dict) -> Iterator[str]:
+    yield (f"group order {document['group_order']}, level {document['level']}, "
+           f"dim V = {document['dim_v']}")
+    yield f"dim (wedge^3 V)^G = {document['wedge3_v_invariants']}"
+    yield (f"dim (wedge^3 H1)^G = {document['wedge3_h1_invariants']}, "
+           f"dim (H1)^G = {document['h1_invariants']}, "
+           f"primitive part = {document['prim3_invariants']}")
+    if "criterion_a" in document:
+        yield ("criterion a (chow-level, primitive H^3 invariants vanish): "
+               f"{'holds' if document['criterion_a'] else 'fails'}")
+    if "criterion_b" in document:
+        yield ("criterion b (griffiths-level, wedge^3 V invariants vanish): "
+               f"{'holds' if document['criterion_b'] else 'fails'}")
 
 
 def _cmd_dihedral(args) -> tuple[dict, Iterable[str]]:
@@ -376,6 +383,59 @@ def build_parser(command: str | None = None) -> _Parser | _CommandReader:
     return parser
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, without the json module
+    for a document of dicts with text keys, lists, ints, bools, None and
+    text that needs no escaping (see `_json_string`).
+
+    ``indent`` is the newline and padding that the value's own line starts
+    with.  Any other value, such as a tuple, a float or a dict with a key
+    that is not text, goes through ``json.dumps``, imported only then.
+    """
+    cls = value.__class__
+    if cls is str:
+        return _json_string(value)
+    if cls is int:
+        return int.__repr__(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    inner = indent + "  "
+    if cls is list:
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if cls is dict and all([key.__class__ is str for key in value]):
+        items = [f"{_json_string(key)}: {_json_text(item, inner)}" for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    import json
+
+    return json.dumps(value, indent=2).replace("\n", indent)
+
+
+def _json_string(text: str) -> str:
+    # Printable ASCII without '"' or '\' is its own JSON; json escapes the rest.
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    import json
+
+    return json.dumps(text)
+
+
+def _usage_message(message: str, argv: list[str]) -> str:
+    """argparse's `message`, with each value it repeats from `argv` cut as `quoted` cuts it.
+
+    argparse writes a value as its repr or as typed, and takes it from a
+    whole token, the part after "=", or the part after a short flag.
+    """
+    for token in argv:
+        for value in (token, token.partition("=")[2], token[2:]):
+            message = message.replace(repr(value), quoted(value)).replace(value, clipped(value))
+    return message
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -384,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv if command is None else argv[1:])
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        print(f"usage error: {_usage_message(str(exc), argv)}", file=sys.stderr)
         if command is not None:  # the usage line lists every subcommand
             parser = build_parser()
         parser.print_usage(sys.stderr)
@@ -397,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if getattr(args, "format", None) == "json":
-        lines = (json.dumps(document, indent=2),)
+        lines = (_json_text(document),)
     # The handler has made every check; scan decides each point as its row is written.
     path = getattr(args, "out", None)
     try:

@@ -311,8 +311,6 @@ def monic_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
         raise DomainError("divisor must be a monic polynomial")
     rem = list(num) + [0] * max(deg - len(num), 0)
     quot = [0] * max(len(num) - deg, 0)
-    if not quot:  # num has the lower degree: it is its own remainder
-        return quot, rem
     terms = [(j, c) for j, c in enumerate(den[:-1]) if c]
     for base in range(len(quot) - 1, -1, -1):
         q = rem[base + deg]

@@ -132,10 +132,12 @@ class CyclicProfile(Value):
     ``generator`` holds the generator's eigenvalue exponents, reduced mod n
     on construction; the level is n.  The kernel reads the generator alone.
     ``classes`` lists the n elements g^k as an :class:`ActionProfile` does,
-    built each time it is read.
+    built each time it is read.  The hash is computed once, on construction:
+    every cache of the kernel is keyed on the profile.
     """
 
-    __slots__ = _fields = ("group_order", "generator")
+    __slots__ = ("group_order", "generator", "_hash")
+    _fields = ("group_order", "generator")
     group_order: int
     generator: tuple[int, ...]
 
@@ -144,6 +146,10 @@ class CyclicProfile(Value):
             raise DomainError("cyclic group order must be positive")
         _check_level(group_order, "cyclic group order")
         super().__init__(group_order, tuple([e % group_order for e in generator]))
+        object.__setattr__(self, "_hash", super().__hash__())
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def level(self) -> int:
@@ -209,10 +215,15 @@ def _counts(exps: Sequence[int], level: int) -> list[int]:
 def _pack(counts: Sequence[int], nbytes: int) -> int:
     # Kronecker substitution of a count vector: digit i, nbytes wide, holds
     # counts[i].  Only the low bytes that some count reaches are written, one
-    # byte plane at a time.
+    # byte plane at a time; counts below 256 (every cyclic count vector,
+    # whose entries are at most 2 dim) are the one plane bytes(counts).
     digits = bytearray(nbytes * len(counts))
-    for j in range((max(counts).bit_length() + 7) // 8):
-        digits[j::nbytes] = bytes([c >> (8 * j) & 255 for c in counts])
+    top = max(counts)
+    if top < 256:
+        digits[::nbytes] = bytes(counts)
+    else:
+        for j in range((top.bit_length() + 7) // 8):
+            digits[j::nbytes] = bytes([c >> (8 * j) & 255 for c in counts])
     return int.from_bytes(digits, "little")
 
 
@@ -242,7 +253,9 @@ def _vector_to_dim(total: Sequence[int], scale: int, level: int) -> int:
     # total[i] are the coefficients of scale * (invariant average) in powers
     # of zeta; the remainder mod the cyclotomic polynomial is the unique
     # representative of degree < phi(level), constant iff the value is rational.
-    _, rem = monic_divmod(total, _phi_coeffs(level))
+    # A total shorter than Phi_L (every cyclic one has length 1) is its own.
+    phi = _phi_coeffs(level)
+    rem = total if len(total) < len(phi) else monic_divmod(total, phi)[1]
     if any(rem[1:]):
         raise ProfileError("invariant average is irrational; not a group action")
     dim, r = divmod(rem[0], scale)

@@ -16,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ceresa_kit import (
     DepressedQuartic,
@@ -757,24 +758,144 @@ MAX_ERROR_LINE = 160
 def test_a_long_value_of_any_flag_gives_one_short_error_line(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     long_value = "missing/" + "x" * 292  # no such directory: `--out` cannot create it
-    domain_errors = set()
+    domain_errors, usage_errors = set(), set()
     for name, _, _, arguments in cli._COMMANDS:
         for flags, options in arguments:
             if options.get("action") == "store_true":
                 continue
             code, out, err = run(capsys, name, *with_value(ONE_CALL_EACH[name], flags[0],
                                                            long_value))
-            if code == 1:  # argparse refused the value: its usage lines are not ours
-                assert err.startswith("usage error: "), (name, flags)
+            if code == 1:  # argparse refused the value; its usage lines follow the error line
+                line, _, usage = err.partition("\n")
+                assert out == "" and line.startswith("usage error: "), (name, flags, err)
+                assert len(line) < MAX_ERROR_LINE and usage.startswith("usage: "), (name, err)
+                assert line.count(f"{long_value[:40]!r}…") == 1, (name, flags, err)
+                usage_errors.add(flags[0])
                 continue
             assert (code, out) == (2, ""), (name, flags)
             assert err.startswith("error: ") and err.count("\n") == 1, (name, flags, err)
             assert len(err) <= MAX_ERROR_LINE, (name, flags, err)
             domain_errors.add(flags[0])
+    # argparse refuses a value only by its type or its choices.
+    assert usage_errors == {"-m", "-a", "-b", "--criterion", "--format", "--threads"}
     # Every flag without an argparse type or choices reaches its handler.
     assert domain_errors == {"-a", "-b", "-c", "-A", "-B", "-x", "-y", "-I", "-J", "-t",
                              "--profile", "--group", "--a-range", "--b-range", "--c-range",
                              "--out"}
+
+
+def test_a_long_token_in_a_usage_error_is_cut(capsys):
+    x = "x" * 3000
+    cases = [  # argv, and the value argparse repeats: as its repr, or as typed
+        (["decide", "-a", "1", "-b", "1", "-c", "1", f"--{x}"], f"--{x}", False),
+        (["dihedral", f"-m{x}", "-a", "1", "-b", "2"], x, True),
+        (["strata", f"--check={x}"], x, True),
+        (["repcrit", "--profile", "klein_c7", f"--criterion={x}"], x, True),
+        (["invariants", "-a", "1", "-b", "1", "-c", "1", "--format", f"{x} {x}"], f"{x} {x}", True),
+        ([x], x, True),
+    ]
+    for argv, value, as_repr in cases:
+        with pytest.raises(cli.UsageError) as refused:
+            cli.build_parser().parse_args(argv)
+        full, cut = (repr(value), quoted(value)) if as_repr else (value, clipped(value))
+        code, out, err = run(capsys, *argv)
+        line = err.partition("\n")[0]
+        assert (code, out) == (1, "") and full in str(refused.value)
+        assert line == f"usage error: {refused.value}".replace(full, cut), line
+        if argv != [x]:  # an unknown command's line also lists every command
+            assert len(line) < MAX_ERROR_LINE, line
+
+
+# Any text, and ASCII text that is mostly the characters JSON escapes.
+_JSON_TEXT = st.text() | st.text('"\\\x7f\x1f\t a~')
+_JSON_DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**60, 10**60) | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_DOCUMENTS)
+def test_json_text_is_json_dumps_with_indent_2(document):
+    assert cli._json_text(document) == json.dumps(document, indent=2)
+
+
+def test_json_text_hands_any_other_value_to_json_dumps():
+    document = {"tuple": (1, [2, ()]), "float": [1.5, float("inf")], "keys": {1: {None: 2.0}},
+                "nested": [{"a": ({"b": (3,)},)}], "text": ["\u00e9", '"', "\\", "\x7f", ""]}
+    assert cli._json_text(document) == json.dumps(document, indent=2)
+    with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+        cli._json_text({"x": [Fraction(1, 2)]})
+
+
+def test_a_json_call_of_plain_text_imports_no_json():
+    src = str(Path(ceresa.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); from ceresa_kit.cli import main\n"
+            "for argv in (['repcrit', '--profile', 'dihedral:21,1,3'], ['strata'],\n"
+            "             ['decide', '-a', '-12', '-b', '1', '-c', '-12']):\n"
+            "    main([*argv, '--format', 'json'])\n"
+            "print('json' in sys.modules, file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-I", "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert done.stderr == "False\n" and done.stdout.count('"') > 100
+
+
+# Every flag that takes a value, as (command, flag), in the order of `cli._COMMANDS`.
+VALUE_FLAGS = [(name, flags[0]) for name, _, _, arguments in cli._COMMANDS
+               for flags, options in arguments if options.get("action") != "store_true"]
+# Values no flag accepts.  argv cannot carry a NUL, so none is drawn.
+_LONG_DIGITS = st.builds(lambda n, digits: (digits * n)[:n],
+                         st.integers(MAX_LITERAL_CHARS + 1, 3000),
+                         st.text("0123456789", min_size=1, max_size=12))
+_NON_ASCII = st.text(st.characters(min_codepoint=128, exclude_categories=("Cs",)),
+                     min_size=1, max_size=300)
+_DASHED = st.one_of(  # a token argparse reads as a flag, or a negative value too long
+    _LONG_DIGITS.map(lambda digits: "-" + digits),
+    st.text(st.characters(exclude_characters="\0"), max_size=200).map(lambda t: "-" + t)
+    .filter(lambda t: not cli._NEGATIVE_VALUE.match(t)),
+)
+
+
+@st.composite
+def _bad_profile_texts(draw) -> str:
+    """A profile file with a long list, a long object or a deep nesting where an integer goes."""
+    n = draw(st.integers(1, 3000))
+    value = draw(st.sampled_from([json.dumps(list(range(n))),
+                                  json.dumps({f"key{i}": i for i in range(n)}),
+                                  "[" * n + "]" * n]))
+    fields = {"group_order": "1", "level": "1", "size": "1"}
+    fields[draw(st.sampled_from(sorted(fields)))] = value
+    return (f'{{"group_order": {fields["group_order"]}, "level": {fields["level"]}, '
+            f'"classes": [{{"size": {fields["size"]}, "exps": [0, 0, 0]}}]}}')
+
+
+def assert_one_short_error_line(argv: list[str]) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # a traceback would fail the test here
+    line, _, rest = err.getvalue().partition("\n")
+    assert code in (1, 2) and out.getvalue() == "", (code, line)
+    assert line.startswith("error: " if code == 2 else "usage error: "), line
+    assert len(line) < MAX_ERROR_LINE, line
+    assert rest == "" if code == 2 else rest.startswith("usage: "), rest
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from(VALUE_FLAGS), st.one_of(_LONG_DIGITS, _NON_ASCII, _DASHED))
+def test_a_refused_value_of_any_flag_gives_one_short_error_line(tmp_path_factory, flag, value):
+    name, flag = flag
+    if flag == "--out":  # a name that can be created is a valid --out
+        value = f"{tmp_path_factory.getbasetemp()}/missing/{value}"
+    assert_one_short_error_line([name, *with_value(ONE_CALL_EACH[name], flag, value)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_bad_profile_texts())
+def test_a_refused_profile_file_gives_one_short_error_line(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "profile.json"
+    path.write_text(text)
+    assert_one_short_error_line(["repcrit", "--profile", str(path)])
 
 
 def test_a_long_integer_in_a_repcrit_error_is_clipped(capsys, tmp_path):

@@ -375,6 +375,36 @@ def test_one_repcrit_call_computes_each_invariant_once(monkeypatch, capsys):
     assert len(reductions) == 3
 
 
+def test_a_total_shorter_than_phi_is_its_own_remainder(monkeypatch):
+    divisions, original = [], repcrit.monic_divmod
+    monkeypatch.setattr(repcrit, "monic_divmod",
+                        lambda *args: divisions.append(args) or original(*args))
+    _clear_package_caches()
+    profile = dihedral_profile(63, 1, 5)
+    assert chow_criterion_applies(profile) is False and dim_inv_wedge3(profile, "V") == 600
+    # Every cyclic total has length 1, so no division; Phi_63 is still read once.
+    assert divisions == [] and repcrit._phi_coeffs.cache_info().misses == 1
+    klein = profile_from_json(preset_profile("klein_c7").to_json())
+    assert dim_inv_wedge3(klein, "V") == 1 and len(divisions) == 1
+
+
+def test_a_cyclic_profile_stores_the_hash_of_its_fields():
+    profile = dihedral_profile(63, 1, 5)
+    assert hash(profile) == profile._hash == hash((63, profile.generator))
+    assert "_hash" not in type(profile)._fields and "_hash" not in repr(profile)
+    with pytest.raises(AttributeError):
+        profile._hash = 0  # type: ignore[misc]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 255) | st.integers(0, 2**32 - 1), min_size=1, max_size=40),
+       st.integers(1, 4))
+def test_pack_is_kronecker_substitution(counts, nbytes):
+    counts = [c % 256**nbytes for c in counts]  # each count fits its digit
+    packed = sum(c << 8 * nbytes * i for i, c in enumerate(counts))
+    assert repcrit._pack(counts, nbytes) == packed
+
+
 def test_cyclotomic_cache_stays_bounded_over_a_sweep_of_levels():
     bound = repcrit._phi_coeffs.cache_info().maxsize
     levels = range(7, 40)

@@ -228,12 +228,13 @@ def loaded_modules(*flags: str) -> set[str]:
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # nor json: the CLI writes its own JSON (`cli._json_text`)
     modules = loaded_modules("-I")
-    assert not {"dataclasses", "inspect"} & modules
+    assert not {"dataclasses", "inspect", "json"} & modules
     assert EAGER_MODULES <= modules
 
 
 def test_cli_import_without_site_loads_no_typing():
     modules = loaded_modules("-I", "-S")
-    assert not {"dataclasses", "inspect", "typing"} & modules
+    assert not {"dataclasses", "inspect", "typing", "json"} & modules
     assert EAGER_MODULES <= modules
