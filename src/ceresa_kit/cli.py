@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import ceresa, repcrit, strata
 from .ceresa import PicardCurve
 from .elliptic import WeierstrassCurve, affine, torsion_order_q
-from .errors import DomainError, clipped, quoted
+from .errors import DomainError, clipped, open_path, quoted
 from .exactmath import int_max_str_digits, integer, max_literal_chars, rat
 from .quartic import DepressedQuartic, invariants
 
@@ -35,6 +35,9 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_VALUE
 
     def error(self, message):
+        # An unknown command's list of choices repeats the usage line after it.
+        if message.startswith("argument command: invalid choice: "):
+            message = message.rpartition(" (choose from ")[0]
         raise UsageError(message)
 
 
@@ -165,8 +168,7 @@ def _cmd_repcrit(args) -> tuple[dict, Iterable[str]]:
     d_v = repcrit.dim_inv_wedge3(profile, "V")
     d3 = repcrit.dim_inv_wedge3(profile, "H1")
     d1 = repcrit.invariant_dim(profile, "H1")
-    crit_a = repcrit.chow_criterion_applies(profile)
-    crit_b = repcrit.griffiths_criterion_applies(profile)
+    prim = repcrit.primitive_dim(d3, d1)
     document = {
         "group_order": profile.group_order,
         "level": profile.level,
@@ -174,12 +176,12 @@ def _cmd_repcrit(args) -> tuple[dict, Iterable[str]]:
         "wedge3_v_invariants": d_v,
         "wedge3_h1_invariants": d3,
         "h1_invariants": d1,
-        "prim3_invariants": d3 - d1,
+        "prim3_invariants": prim,
     }
     if args.criterion in (None, "a"):
-        document["criterion_a"] = crit_a
+        document["criterion_a"] = prim == 0
     if args.criterion in (None, "b"):
-        document["criterion_b"] = crit_b
+        document["criterion_b"] = d_v == 0
     return document, _repcrit_lines(document)
 
 
@@ -461,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     # The handler has made every check; scan decides each point as its row is written.
     path = getattr(args, "out", None)
     try:
-        with (open(path, "w", encoding="utf-8", newline="") if path
+        with (open_path(path, "w", encoding="utf-8", newline="") if path
               else contextlib.nullcontext(sys.stdout)) as handle:
             try:
                 for line in lines:

@@ -70,13 +70,8 @@ class WeierstrassCurve(Value):
         super().__init__(A, B)
 
     def contains(self, p: ECPoint) -> bool:
-        """Whether y^2 = x^3 + Ax + B at P, compared on integers.
-
-        For integral A and B, x^3 + Ax + B is (xn^3 + A xn xd^2 + B xd^3)/xd^3
-        in lowest terms (gcd(xn, xd) = 1), as y^2 is yn^2/yd^2; so both
-        sides agree exactly when numerators and denominators do.  Otherwise
-        the denominators are cross-multiplied.
-        """
+        """Whether y^2 = x^3 + Ax + B at P, compared on integers with the
+        denominators of x, y, A and B cross-multiplied."""
         if p.is_infinity:
             return True
         xn, xd = p.x.numerator, p.x.denominator
@@ -84,8 +79,6 @@ class WeierstrassCurve(Value):
         an, ad = self.A.numerator, self.A.denominator
         bn, bd = self.B.numerator, self.B.denominator
         xd2 = xd * xd
-        if ad == 1 and bd == 1:
-            return yd * yd == xd2 * xd and yn * yn == xn * (xn * xn + an * xd2) + bn * xd2 * xd
         rhs = (xn * xn * ad + an * xd2) * xn * bd + bn * ad * xd2 * xd
         return yn * yn * xd2 * xd * ad * bd == yd * yd * rhs
 

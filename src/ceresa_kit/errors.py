@@ -1,5 +1,10 @@
-"""Exception types shared across the package, and the helpers that keep a
-long value short in their messages."""
+"""Exception types shared across the package, the helpers that keep a long
+value short in their messages, and an open() that refuses a path by OSError."""
+
+import errno
+
+#: Most characters of a value that an error message repeats.
+MAX_VALUE_CHARS = 40
 
 
 class DomainError(ValueError):
@@ -10,25 +15,28 @@ class ProfileError(DomainError):
     """Eigenvalue data does not describe a genuine finite group action."""
 
 
-def quoted(value, limit: int = 40) -> str:
+def quoted(value) -> str:
     """``repr(value)`` for an error message, cut short when it is long.
 
-    A string longer than ``limit`` characters is cut to its first ``limit``
-    and then quoted; the repr of any other value is cut to its first
-    ``limit`` characters.  Either is followed by an ellipsis, so a huge
-    literal, list or object cannot flood the message.
+    A string longer than ``MAX_VALUE_CHARS`` characters is cut to that many
+    and then quoted, and any other value's repr is cut as :func:`clipped`
+    cuts it; an ellipsis marks the cut, so no value can flood the message.
     """
     if isinstance(value, str):
-        return f"{value[:limit]!r}…" if len(value) > limit else repr(value)
-    text = repr(value)
-    return text if len(text) <= limit else f"{text[:limit]}…"
+        return f"{value[:MAX_VALUE_CHARS]!r}…" if len(value) > MAX_VALUE_CHARS else repr(value)
+    return clipped(repr(value))
 
 
-def clipped(value, limit: int = 40) -> str:
-    """``str(value)`` for an error message, cut like :func:`quoted`.
-
-    A value longer than ``limit`` characters is cut to its first ``limit``
-    and followed by an ellipsis.
-    """
+def clipped(value) -> str:
+    """``str(value)`` for an error message, cut to its first
+    ``MAX_VALUE_CHARS`` characters and an ellipsis when it is longer."""
     text = str(value)
-    return text if len(text) <= limit else f"{text[:limit]}…"
+    return text if len(text) <= MAX_VALUE_CHARS else f"{text[:MAX_VALUE_CHARS]}…"
+
+
+def open_path(path: str, *args, **kwargs):
+    """open(), with the ValueError it gives a path with a NUL byte raised as an OSError."""
+    try:
+        return open(path, *args, **kwargs)
+    except ValueError as exc:
+        raise OSError(errno.EINVAL, str(exc)) from exc

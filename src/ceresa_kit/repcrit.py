@@ -51,7 +51,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .errors import DomainError, ProfileError, clipped, quoted
+from .errors import DomainError, ProfileError, clipped, open_path, quoted
 from .exactmath import cyclotomic_polynomial, integer, monic_divmod
 from .value import Value
 
@@ -132,12 +132,10 @@ class CyclicProfile(Value):
     ``generator`` holds the generator's eigenvalue exponents, reduced mod n
     on construction; the level is n.  The kernel reads the generator alone.
     ``classes`` lists the n elements g^k as an :class:`ActionProfile` does,
-    built each time it is read.  The hash is computed once, on construction:
-    every cache of the kernel is keyed on the profile.
+    built each time it is read.
     """
 
-    __slots__ = ("group_order", "generator", "_hash")
-    _fields = ("group_order", "generator")
+    __slots__ = _fields = ("group_order", "generator")
     group_order: int
     generator: tuple[int, ...]
 
@@ -146,10 +144,6 @@ class CyclicProfile(Value):
             raise DomainError("cyclic group order must be positive")
         _check_level(group_order, "cyclic group order")
         super().__init__(group_order, tuple([e % group_order for e in generator]))
-        object.__setattr__(self, "_hash", super().__hash__())
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def level(self) -> int:
@@ -317,7 +311,6 @@ def _group_sums(profile: Profile, space: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_unpack(_fold(total, level, nbytes), level, nbytes) for total in sums)
 
 
-@lru_cache(maxsize=2)  # a call evaluates one profile, on V and on H1
 def dim_inv_wedge3(profile: Profile, space: str = "V") -> int:
     """Dimension of the group invariants of the exterior cube of V or of H^1."""
     if profile.dim < 3:
@@ -328,7 +321,6 @@ def dim_inv_wedge3(profile: Profile, space: str = "V") -> int:
     return _vector_to_dim(total, 6 * profile.group_order, profile.level)
 
 
-@lru_cache(maxsize=2)  # a call evaluates one profile, on V and on H1
 def invariant_dim(profile: Profile, space: str = "V") -> int:
     """Dimension of the group invariants of V or of H^1 = V + conjugate(V)."""
     return _vector_to_dim(_group_sums(profile, space)[0], profile.group_order, profile.level)
@@ -344,6 +336,15 @@ def griffiths_criterion_applies(profile: Profile) -> bool:
     return dim_inv_wedge3(profile, "V") == 0
 
 
+def primitive_dim(d3: int, d1: int) -> int:
+    """d3 - d1 = dim (wedge^3 H^1)^G - dim (H^1)^G, which no group action makes negative."""
+    if d3 < d1:
+        raise ProfileError(
+            f"dim (wedge^3 H1)^G = {d3} < dim (H1)^G = {d1}; not a group action"
+        )
+    return d3 - d1
+
+
 def chow_criterion_applies(profile: Profile) -> bool:
     """True when the invariants of the primitive degree-3 cohomology vanish.
 
@@ -352,13 +353,7 @@ def chow_criterion_applies(profile: Profile) -> bool:
     zero, and the embedding of H^1 twists by a Tate twist that does not
     change the group action.
     """
-    d3 = dim_inv_wedge3(profile, "H1")
-    d1 = invariant_dim(profile, "H1")
-    if d3 < d1:
-        raise ProfileError(
-            f"dim (wedge^3 H1)^G = {d3} < dim (H1)^G = {d1}; not a group action"
-        )
-    return d3 == d1
+    return primitive_dim(dim_inv_wedge3(profile, "H1"), invariant_dim(profile, "H1")) == 0
 
 
 def cyclic_profile(order: int, generator_exps: Sequence[int]) -> CyclicProfile:
@@ -470,7 +465,7 @@ def load_profile(source: str) -> Profile:
     import json  # only where a file is decoded, so that importing the package loads no json
 
     try:
-        with open(source, encoding="utf-8") as handle:
+        with open_path(source, encoding="utf-8") as handle:
             text = handle.read(MAX_PROFILE_CHARS + 1)  # an endless stream stops here
         data = json.loads(text) if len(text) <= MAX_PROFILE_CHARS else None
     except OSError as exc:

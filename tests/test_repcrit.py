@@ -336,10 +336,9 @@ def _clear_package_caches():
 CACHE_BOUNDS = {
     # The package's one copy of Phi_L: a call reads one level.
     "repcrit._phi_coeffs": 1,
-    # Keyed by (profile, space): a call evaluates one profile, on V and on H1.
+    # Keyed by (profile, space): a call evaluates one profile, on V and on H1,
+    # and reads dim (wedge^3 H1)^G and dim (H1)^G off the one H1 evaluation.
     "repcrit._group_sums": 2,
-    "repcrit.dim_inv_wedge3": 2,
-    "repcrit.invariant_dim": 2,
 }
 
 
@@ -351,28 +350,62 @@ def test_every_package_cache_has_a_documented_bound():
 
 
 def test_profile_caches_hold_one_evaluation_over_a_sweep():
+    repcrit._group_sums.cache_clear()
     for m in range(31, 51, 2):
         profile = dihedral_profile(m, 1, 3)
         griffiths_criterion_applies(profile)
         chow_criterion_applies(profile)
-    for cache in (repcrit._group_sums, dim_inv_wedge3, invariant_dim):
-        assert cache.cache_info().currsize <= 2
+    info = repcrit._group_sums.cache_info()
+    # Each profile is evaluated once per space: the Chow criterion's two
+    # dimensions share the H1 evaluation.
+    assert info.currsize <= 2 and (info.misses, info.hits) == (20, 10)
 
 
 def test_one_repcrit_call_computes_each_invariant_once(monkeypatch, capsys):
-    reductions, original = [], repcrit._vector_to_dim
-    monkeypatch.setattr(repcrit, "_vector_to_dim",
-                        lambda *args: reductions.append(args) or original(*args))
+    calls = {name: [] for name in ("dim_inv_wedge3", "invariant_dim", "_vector_to_dim")}
+    for name, log in calls.items():
+        original = getattr(repcrit, name)
+        monkeypatch.setattr(repcrit, name,
+                            lambda *args, log=log, original=original:
+                            log.append(args) or original(*args))
     _clear_package_caches()
     assert cli.main(["repcrit", "--profile", "dihedral:63,1,5", "--format", "json"]) == 0
     capsys.readouterr()
-    # One group-sum pass and one wedge^3 dimension per space, dim (H1)^G once
-    # although the CLI and the Chow criterion both ask for it, and Phi_63 once.
+    # One wedge^3 dimension per space and dim (H1)^G once: both criteria are
+    # read off these three.  One group-sum pass per space, and Phi_63 once.
+    assert [args[1] for args in calls["dim_inv_wedge3"]] == ["V", "H1"]
+    assert [args[1] for args in calls["invariant_dim"]] == ["H1"]
+    assert len(calls["_vector_to_dim"]) == 3
     assert repcrit._group_sums.cache_info().misses == 2
-    assert repcrit.dim_inv_wedge3.cache_info().misses == 2
-    assert repcrit.invariant_dim.cache_info().misses == 1
     assert repcrit._phi_coeffs.cache_info().misses == 1
-    assert len(reductions) == 3
+
+
+def test_primitive_dim_is_the_difference_and_refuses_a_negative_one():
+    assert repcrit.primitive_dim(20, 6) == 14 and repcrit.primitive_dim(2, 2) == 0
+    with pytest.raises(ProfileError, match=r"^dim \(wedge\^3 H1\)\^G = 1 < dim \(H1\)\^G = 2; "
+                                           r"not a group action$"):
+        repcrit.primitive_dim(1, 2)
+
+
+def test_repcrit_criteria_are_the_library_criteria(capsys, tmp_path):
+    files = []
+    for name, profile in (("klein", preset_profile("klein_c7")),
+                          ("dihedral", dihedral_profile(15, 1, 4))):
+        files.append(tmp_path / f"{name}.json")  # an ActionProfile: it lists every class
+        files[-1].write_text(json.dumps(profile.to_json()))
+    specs = [*repcrit.PRESET_NAMES, *map(str, files)]
+    specs += [f"dihedral:{m},{a},{b}" for m in range(5, 40) for b in range(2, (m + 1) // 2)
+              for a in range(1, b) if math.gcd(m, math.gcd(a, b)) == 1]
+    for spec in specs:
+        assert cli.main(["repcrit", "--profile", spec, "--format", "json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        profile = repcrit.load_profile(spec)
+        prim = repcrit.primitive_dim(dim_inv_wedge3(profile, "H1"), invariant_dim(profile, "H1"))
+        library = (chow_criterion_applies(profile), griffiths_criterion_applies(profile), prim)
+        assert (document["criterion_a"], document["criterion_b"],
+                document["prim3_invariants"]) == library, spec
+    assert all(isinstance(repcrit.load_profile(str(path)), ActionProfile) for path in files)
+    assert len(specs) == 3 + 2 + 1846
 
 
 def test_a_total_shorter_than_phi_is_its_own_remainder(monkeypatch):
@@ -386,14 +419,6 @@ def test_a_total_shorter_than_phi_is_its_own_remainder(monkeypatch):
     assert divisions == [] and repcrit._phi_coeffs.cache_info().misses == 1
     klein = profile_from_json(preset_profile("klein_c7").to_json())
     assert dim_inv_wedge3(klein, "V") == 1 and len(divisions) == 1
-
-
-def test_a_cyclic_profile_stores_the_hash_of_its_fields():
-    profile = dihedral_profile(63, 1, 5)
-    assert hash(profile) == profile._hash == hash((63, profile.generator))
-    assert "_hash" not in type(profile)._fields and "_hash" not in repr(profile)
-    with pytest.raises(AttributeError):
-        profile._hash = 0  # type: ignore[misc]
 
 
 @settings(max_examples=100, deadline=None)
@@ -410,11 +435,11 @@ def test_cyclotomic_cache_stays_bounded_over_a_sweep_of_levels():
     levels = range(7, 40)
     profiles = [dihedral_profile(m, 1, 3) for m in levels]
     assert len({profile.level for profile in profiles}) > bound
-    dim_inv_wedge3.cache_clear()
+    repcrit._group_sums.cache_clear()
     dims = [dim_inv_wedge3(profile, "V") for profile in profiles]
     assert repcrit._phi_coeffs.cache_info().currsize <= bound
     # The early levels have left the cache; computed again, they agree.
-    dim_inv_wedge3.cache_clear()
+    repcrit._group_sums.cache_clear()
     assert [dim_inv_wedge3(profile, "V") for profile in reversed(profiles)] == dims[::-1]
     assert [d == 0 for d in dims] == [dihedral_witness_triple(m, 1, 3) is None for m in levels]
 
