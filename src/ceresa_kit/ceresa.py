@@ -14,6 +14,9 @@ produces a quartic whose invariant point is the sextic twist (g^2 I, g^3 J)
 of (I, J) by the square g, hence of the same order over Q.  Every rational
 point of E0 of finite order therefore yields a one-parameter family of
 curves with the same torsion verdict.
+
+A ``PicardCurve`` reads the invariants its quartic keeps, refusing disc = 0;
+a scan records such a point as skipped and decides every other one.
 """
 
 from __future__ import annotations
@@ -26,28 +29,27 @@ from . import elliptic
 from .elliptic import ECPoint, WeierstrassCurve
 from .errors import DomainError
 from .exactmath import RatLike, rat
-from .quartic import DepressedQuartic, QuarticInvariants, from_invariant_point, invariants
+from .quartic import DepressedQuartic, QuarticInvariants, from_invariant_point
 from .value import Value
 
 
 class PicardCurve(Value):
     """A quartic with nonzero discriminant, i.e. a smooth curve y^3 = f(x).
 
-    ``invariants`` is computed on construction; it takes no part in
-    equality, hashing or repr.
+    ``invariants`` are the quartic's own, computed when it was built.
     """
 
-    __slots__ = ("quartic", "invariants")
-    _fields = ("quartic",)
+    __slots__ = _fields = ("quartic",)
     quartic: DepressedQuartic
-    invariants: QuarticInvariants
 
     def __init__(self, quartic: DepressedQuartic):
-        super().__init__(quartic)
-        inv = invariants(quartic)
-        if inv.disc == 0:
+        if quartic.invariants.disc == 0:
             raise DomainError(f"singular quartic (disc = 0): {quartic}")
-        object.__setattr__(self, "invariants", inv)
+        super().__init__(quartic)
+
+    @property
+    def invariants(self) -> QuarticInvariants:
+        return self.quartic.invariants
 
     @classmethod
     def from_coefficients(cls, a: RatLike, b: RatLike, c: RatLike) -> PicardCurve:
@@ -194,12 +196,10 @@ SCAN_CSV_HEADER = ",".join(ScanRecord._fields)
 
 def _scan_one(a: Fraction, b: Fraction, c: Fraction) -> ScanRecord:
     quartic = DepressedQuartic(a, b, c)
-    try:
-        curve = PicardCurve(quartic)
-    except DomainError:
-        inv = invariants(quartic)
+    inv = quartic.invariants
+    if inv.disc == 0:
         return ScanRecord(a, b, c, inv.I, inv.J, inv.disc, VERDICT_SKIPPED, None)
-    chow, inv = decide(curve).chow, curve.invariants
+    chow = decide(PicardCurve(quartic)).chow
     label = VERDICT_TORSION if chow.torsion else VERDICT_NON_TORSION
     return ScanRecord(a, b, c, inv.I, inv.J, inv.disc, label, chow.point_order)
 

@@ -16,7 +16,7 @@ from .ceresa import PicardCurve
 from .elliptic import WeierstrassCurve, affine, torsion_order_q
 from .errors import DomainError, clipped, open_path, quoted
 from .exactmath import int_max_str_digits, integer, max_literal_chars, rat
-from .quartic import DepressedQuartic, invariants
+from .quartic import DepressedQuartic
 
 
 class UsageError(Exception):
@@ -96,7 +96,7 @@ def _scan_axes(*texts: str) -> list[list[Fraction]]:
 
 
 def _cmd_invariants(args) -> tuple[dict, Iterable[str]]:
-    inv = invariants(DepressedQuartic(args.a, args.b, args.c))
+    inv = DepressedQuartic(args.a, args.b, args.c).invariants
     return inv.to_json(), (f"I = {inv.I}", f"J = {inv.J}", f"disc = {inv.disc}")
 
 
@@ -478,8 +478,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise
     except BrokenPipeError:  # the reader closed the pipe (`... | head`)
         return 0
-    except OSError as exc:
-        print(f"error: cannot write {quoted(path or '<stdout>')}: {exc.strerror}", file=sys.stderr)
+    except (OSError, UnicodeEncodeError) as exc:  # or a line the stream's encoding lacks
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        print(f"error: cannot write {quoted(path or '<stdout>')}: {reason}", file=sys.stderr)
         return 2
     return 0
 

@@ -8,39 +8,47 @@ quartic form are
     disc = -4a^3 b^2 - 27b^4 + 16a^4 c + 144a b^2 c - 128a^2 c^2 + 256c^3
 
 linked by the syzygy J^2 = 4I^3 - 27*disc.  The weighted scaling action
-lam . (a, b, c) = (lam^2 a, lam^3 b, lam^4 c) makes I, J, disc homogeneous
-of degree 4, 6, 12.  So ``invariants`` evaluates them, and checks the
-syzygy, on integers: on the triple scaled by the lcm of its denominators,
-with one division per value at the end.  Orbits of nonzero triples are
-points of the weighted projective space P(2,3,4), and moduli equality
-tests decide orbit equality over an algebraic closure or over the
-rationals.
+lam . (a, b, c) = (lam^2 a, lam^3 b, lam^4 c), of ``WEIGHTS`` (2, 3, 4),
+makes I, J, disc homogeneous of degree 4, 6, 12.  So ``invariants``
+evaluates them, and checks the syzygy, on integers (the triple scaled by
+the lcm of its denominators, one division per value at the end), once per
+``DepressedQuartic``, which keeps them.  Orbits of nonzero triples are
+points of P(2,3,4); orbit equality, over an algebraic closure or over the
+rationals, is decided by one rule over the weights.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import DomainError
-from .exactmath import RatLike, rat, rational_nth_root, rational_sqrt
+from .exactmath import RatLike, rat, rational_nth_root
 from .value import Value
+
+
+#: Weights of the scaling action on (a, b, c): lam . x = lam^w x.
+WEIGHTS = (2, 3, 4)
 
 
 class DepressedQuartic(Value):
     """Coefficient triple (a, b, c) of x^4 + a x^2 + b x + c.
 
-    A vanishing discriminant is allowed here; only curve-level constructors
-    reject it.
+    ``invariants`` is computed on construction and takes no part in equality,
+    hashing or repr.  A vanishing discriminant is allowed; curves reject it.
     """
 
-    __slots__ = _fields = ("a", "b", "c")
+    __slots__ = ("a", "b", "c", "invariants")
+    _fields = ("a", "b", "c")
     a: Fraction
     b: Fraction
     c: Fraction
+    invariants: QuarticInvariants
 
     def __init__(self, a: RatLike, b: RatLike, c: RatLike):
         super().__init__(rat(a), rat(b), rat(c))
+        object.__setattr__(self, "invariants", invariants(self))
 
     def coefficients(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c)
@@ -98,61 +106,51 @@ def gm_scale(lam: RatLike, q: DepressedQuartic) -> DepressedQuartic:
     lam = rat(lam)
     if lam == 0:
         raise DomainError("scaling parameter must be nonzero")
-    return DepressedQuartic(lam**2 * q.a, lam**3 * q.b, lam**4 * q.c)
+    return DepressedQuartic(*(lam**w * x for w, x in zip(WEIGHTS, q.coefficients())))
 
 
-def _same_zero_pattern(q1: DepressedQuartic, q2: DepressedQuartic) -> bool:
+def _nonzero_coordinates(q1: DepressedQuartic, q2: DepressedQuartic) -> list | None:
+    """(weight, x1, x2) where x1 != 0, by weight; None if the zero patterns differ."""
     if q1.is_zero_triple() or q2.is_zero_triple():
         raise DomainError("the zero triple is not a point of P(2,3,4)")
-    return all((x == 0) == (y == 0) for x, y in zip(q1.coefficients(), q2.coefficients()))
+    coordinates = list(zip(WEIGHTS, q1.coefficients(), q2.coefficients()))
+    if any((x1 == 0) != (x2 == 0) for _, x1, x2 in coordinates):
+        return None
+    return [(w, x1, x2) for w, x1, x2 in coordinates if x1 != 0]
 
 
 def moduli_equal_geometric(q1: DepressedQuartic, q2: DepressedQuartic) -> bool:
     """Orbit equality under the weighted scaling over an algebraic closure.
 
-    Zero patterns must agree; then the weighted cross-relations of equal
-    degree decide the existence of a scaling factor.  With a single nonzero
-    coordinate any value is reachable, since roots of every order exist in
-    the closure.
+    Zero patterns must agree; then each pair of nonzero coordinates, of
+    weights v and w and g = gcd(v, w), must satisfy the relation of equal
+    degree x1_v^(w/g) x2_w^(v/g) = x2_v^(w/g) x1_w^(v/g).  A lone nonzero
+    coordinate reaches any value: the closure has roots of every order.
     """
-    if not _same_zero_pattern(q1, q2):
+    nonzero = _nonzero_coordinates(q1, q2)
+    if nonzero is None:
         return False
-    a1, b1, c1 = q1.coefficients()
-    a2, b2, c2 = q2.coefficients()
-    if a1 != 0 and b1 != 0 and a1**3 * b2**2 != a2**3 * b1**2:
-        return False
-    if a1 != 0 and c1 != 0 and a1**2 * c2 != a2**2 * c1:
-        return False
-    if b1 != 0 and c1 != 0 and b1**4 * c2**3 != b2**4 * c1**3:
-        return False
+    for (v, x1_v, x2_v), (w, x1_w, x2_w) in combinations(nonzero, 2):
+        g = math.gcd(v, w)
+        if x1_v ** (w // g) * x2_w ** (v // g) != x2_v ** (w // g) * x1_w ** (v // g):
+            return False
     return True
 
 
 def moduli_equal_rational(q1: DepressedQuartic, q2: DepressedQuartic) -> Fraction | None:
     """Rational scaling factor lam with gm_scale(lam, q1) == q2, if one exists.
 
-    The lowest-weight nonzero coordinate pins lam up to finitely many
-    rational candidates (a root extraction); each candidate is verified on
-    all three coordinates.
+    The lowest-weight nonzero coordinate pins lam to +-r, where r is the
+    rational root of its ratio (a root extraction); each candidate is
+    verified on all three coordinates.
     """
-    if not _same_zero_pattern(q1, q2):
+    nonzero = _nonzero_coordinates(q1, q2)
+    if nonzero is None:
         return None
-    a1, b1, c1 = q1.coefficients()
-    candidates: list[Fraction] = []
-    if a1 != 0:
-        r = rational_sqrt(q2.a / a1)
-        if r is not None:
-            candidates = [r, -r] if r != 0 else [r]
-    elif b1 != 0:
-        r = rational_nth_root(q2.b / b1, 3)
-        if r is not None:
-            candidates = [r]
-    else:
-        r = rational_nth_root(q2.c / c1, 4)
-        if r is not None:
-            candidates = [r, -r] if r != 0 else [r]
-    for lam in candidates:
-        if lam != 0 and gm_scale(lam, q1) == q2:
+    w, x1, x2 = nonzero[0]
+    r = rational_nth_root(x2 / x1, w)
+    for lam in () if r is None else (r, -r):
+        if gm_scale(lam, q1) == q2:
             return lam
     return None
 

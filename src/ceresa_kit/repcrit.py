@@ -468,8 +468,10 @@ def load_profile(source: str) -> Profile:
         with open_path(source, encoding="utf-8") as handle:
             text = handle.read(MAX_PROFILE_CHARS + 1)  # an endless stream stops here
         data = json.loads(text) if len(text) <= MAX_PROFILE_CHARS else None
-    except OSError as exc:
+    except FileNotFoundError as exc:
         raise DomainError(f"no such preset or profile file: {quoted(source)}") from exc
+    except OSError as exc:
+        raise DomainError(f"cannot read profile file {quoted(source)}: {exc.strerror}") from exc
     except (ValueError, RecursionError) as exc:  # undecodable, too long an integer, too deep
         raise DomainError(f"invalid profile JSON in {quoted(source)}: {exc}") from exc
     if len(text) > MAX_PROFILE_CHARS:

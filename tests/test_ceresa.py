@@ -332,17 +332,20 @@ def test_decide_and_scan_evaluate_invariants_once(monkeypatch):
         calls[quartic.coefficients()] += 1
         return invariants(quartic)
 
-    monkeypatch.setattr("ceresa_kit.ceresa.invariants", counted)
+    monkeypatch.setattr("ceresa_kit.quartic.invariants", counted)
     decide(PicardCurve.from_coefficients(1, 0, 1))
     assert calls == {(1, 0, 1): 1}
 
     calls.clear()
+    decided = Counter()
+    monkeypatch.setattr("ceresa_kit.ceresa.decide",
+                        lambda curve: decided.update([curve.quartic.coefficients()])
+                        or decide(curve))
     records = list(scan([-12, 0, 1], [0, 1], [-12, 0, 1]))
     assert {r.verdict for r in records} == {VERDICT_TORSION, VERDICT_NON_TORSION,
                                             VERDICT_SKIPPED}
-    for r in records:
-        evaluations = calls[(r.a, r.b, r.c)]
-        assert evaluations <= 2 if r.verdict == VERDICT_SKIPPED else evaluations == 1
+    assert calls == {(r.a, r.b, r.c): 1 for r in records}
+    assert decided == {(r.a, r.b, r.c): 1 for r in records if r.verdict != VERDICT_SKIPPED}
 
 
 def test_decide_agrees_with_torsion_enumeration():
@@ -398,7 +401,7 @@ def test_scan_returns_before_any_point_is_decided(monkeypatch):
         calls[quartic.coefficients()] += 1
         return invariants(quartic)
 
-    monkeypatch.setattr("ceresa_kit.ceresa.invariants", counted)
+    monkeypatch.setattr("ceresa_kit.quartic.invariants", counted)
     records = scan([-12, 1], [1], [-12])
     assert not calls
     assert next(records).verdict == VERDICT_TORSION

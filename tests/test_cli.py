@@ -9,6 +9,7 @@ import math
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -621,7 +622,8 @@ def test_a_nul_byte_in_a_path_is_a_domain_error(capsys):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", "error: cannot write 'a\\x00b': embedded null byte\n")
     code, out, err = run(capsys, "repcrit", "--profile", "a\x00b")
-    assert (code, out, err) == (2, "", "error: no such preset or profile file: 'a\\x00b'\n")
+    assert (code, out, err) == (
+        2, "", "error: cannot read profile file 'a\\x00b': embedded null byte\n")
 
 
 def test_scan_out_to_an_unwritable_path_decides_no_point(capsys, monkeypatch, tmp_path):
@@ -671,14 +673,35 @@ ONE_CALL_EACH = {
 }
 
 
-def run_child(argv, stdout, **env):
+def run_child(argv, stdout, cwd=None, **env):
     """`ceresa-kit argv` in a child process writing to `stdout`, with `env` set."""
     src = str(Path(ceresa.__file__).resolve().parent.parent)
     return subprocess.run(
         [sys.executable, "-c", "import sys; from ceresa_kit.cli import main; sys.exit(main())",
          *argv],
         stdout=stdout, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src, **env},
-        timeout=60)
+        cwd=cwd, timeout=60)
+
+
+def readme_examples() -> list[list[str]]:
+    """The arguments of each `ceresa-kit` line in the README's "## Command line" sh block."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("ceresa-kit ")]
+
+
+@pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+def test_readme_example_runs(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)  # scan --out writes here
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    # A stdout that cannot encode a line is a failed write, not a traceback.
+    done = run_child(argv, subprocess.PIPE, cwd=tmp_path, PYTHONIOENCODING="ascii")
+    stderr = done.stderr.decode("ascii", "backslashreplace")
+    assert done.returncode in (0, 2) and "Traceback" not in stderr
+    if done.returncode == 2:
+        assert stderr.startswith("error: cannot write '<stdout>': ") and stderr.count("\n") == 1
 
 
 def test_one_call_each_covers_every_subcommand():

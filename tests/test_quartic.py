@@ -151,6 +151,27 @@ def test_moduli_equal_rational_examples():
     assert moduli_equal_rational(DepressedQuartic(0, 0, 1), DepressedQuartic(0, 0, 16)) == 2
 
 
+# One case for each pairwise rule of moduli_equal_geometric and each root
+# that moduli_equal_rational takes: (q1, q2, geometric, rational factor).
+WEIGHT_RULE_CASES = [
+    ((1, 1, 0), (4, -8, 0), True, -2),  # (a, b) rule; the square root's negative
+    ((1, 0, 1), (2, 0, 4), True, None),  # (a, c) rule holds; lam = sqrt(2)
+    ((1, 0, 1), (2, 0, -4), False, None),  # (a, c) rule fails
+    ((0, 1, 1), (0, 8, -16), False, None),  # (b, c) rule fails by the sign alone
+    ((0, 1, 0), (0, -8, 0), True, -2),  # the odd weight's negative cube root
+]
+
+
+@pytest.mark.parametrize(("q1", "q2", "geometric", "lam"), WEIGHT_RULE_CASES)
+def test_each_weight_rule_decides_a_case(q1, q2, geometric, lam):
+    q1, q2 = DepressedQuartic(*q1), DepressedQuartic(*q2)
+    inverse = None if lam is None else 1 / Fraction(lam)
+    # Both orders, so that neither side of a rule has only unit coordinates.
+    for x, y, factor in ((q1, q2, lam), (q2, q1, inverse)):
+        assert moduli_equal_geometric(x, y) is geometric
+        assert moduli_equal_rational(x, y) == factor
+
+
 def test_moduli_rational_implies_geometric():
     rng = random.Random(19)
     hits = 0

@@ -485,9 +485,10 @@ PICARD_JSON = json.dumps(cyclic_profile(3, (1, 1, 2)).to_json())
     ("dihedral:9,1,3", None, dihedral_profile(9, 1, 3)),
     ("c3.json", PICARD_JSON, profile_from_json(json.loads(PICARD_JSON))),
     ("missing.json", None, "no such preset or profile file: 'missing.json'"),
+    (".", None, "cannot read profile file '.': Is a directory"),
     ("long.json", PICARD_JSON + " ",
      f"profile file 'long.json' has more than {len(PICARD_JSON)} characters"),
-], ids=["preset", "dihedral", "file", "missing", "over-cap"])
+], ids=["preset", "dihedral", "file", "missing", "directory", "over-cap"])
 def test_load_profile_reads_each_source(source, text, expected, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(repcrit, "MAX_PROFILE_CHARS", len(PICARD_JSON))  # c3.json is at the cap
