@@ -18,13 +18,18 @@ class ProfileError(DomainError):
 def quoted(value) -> str:
     """``repr(value)`` for an error message, cut short when it is long.
 
-    A string longer than ``MAX_VALUE_CHARS`` characters is cut to that many
-    and then quoted, and any other value's repr is cut as :func:`clipped`
-    cuts it; an ellipsis marks the cut, so no value can flood the message.
+    A string whose repr holds more than ``MAX_VALUE_CHARS`` characters
+    between its quotes, escapes included, is cut to its longest prefix whose
+    repr does not, and then quoted; any other value's repr is cut as
+    :func:`clipped` cuts it.  An ellipsis marks the cut, so no value can
+    flood the message.
     """
-    if isinstance(value, str):
-        return f"{value[:MAX_VALUE_CHARS]!r}…" if len(value) > MAX_VALUE_CHARS else repr(value)
-    return clipped(repr(value))
+    if not isinstance(value, str):
+        return clipped(repr(value))
+    cut = value[:MAX_VALUE_CHARS]
+    while len(repr(cut)) > MAX_VALUE_CHARS + 2:  # a character escaped as up to 10
+        cut = cut[:-1]
+    return repr(value) if cut == value else f"{cut!r}…"
 
 
 def clipped(value) -> str:

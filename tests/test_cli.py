@@ -966,6 +966,11 @@ def test_a_long_json_value_in_a_profile_error_is_cut(capsys, tmp_path, value):
 def test_quoted_cuts_any_long_repr_and_keeps_the_string_form():
     assert quoted("x" * 40) == repr("x" * 40)
     assert quoted("x" * 41) == f"{'x' * 40!r}…"
+    # A short string of escaped characters is cut by the length of its repr.
+    assert quoted("\x80" * 10) == repr("\x80" * 10)
+    assert quoted("\x80" * 11) == repr("\x80" * 10) + "…"
+    assert quoted("\U0010ffff" * 21) == repr("\U0010ffff" * 4) + "…"
+    assert quoted("\\" * 20) == repr("\\" * 20) and quoted("\\" * 21) == repr("\\" * 20) + "…"
     assert quoted([1, 2]) == "[1, 2]"
     assert quoted(list(range(100))) == repr(list(range(100)))[:40] + "…"
 
