@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import math
 import os
 import re
@@ -465,6 +466,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with (open_path(path, "w", encoding="utf-8", newline="") if path
               else contextlib.nullcontext(sys.stdout)) as handle:
+            if handle is None:  # fd 1 was closed at startup, so Python set no sys.stdout
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             try:
                 for line in lines:
                     handle.write(line + "\n")

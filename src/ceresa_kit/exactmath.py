@@ -331,13 +331,15 @@ def _stretch(coeffs: list[int], k: int) -> list[int]:
 def cyclotomic_polynomial(level: int) -> UPoly:
     """The cyclotomic polynomial of the given level.
 
-    Starting from Phi_1 = x - 1, each prime p dividing L is adjoined by
+    The first prime p dividing L is adjoined by its closed form
+    Phi_p = 1 + x + ... + x^(p-1), and each further prime p by
     Phi_np(x) = Phi_n(x^p) / Phi_n(x), valid when p does not divide n: one
-    exact division per distinct prime, in integer arithmetic (every
-    cyclotomic polynomial is monic with integer coefficients).  That gives
-    Phi_rad for the radical rad of L, and Phi_L(x) = Phi_rad(x^(L/rad)).
-    Nothing is cached: a caller that reads a level more than once keeps its
-    own copy.
+    exact division per distinct prime after the first, in integer
+    arithmetic (every cyclotomic polynomial is monic with integer
+    coefficients), so a prime or prime-power level divides nothing.  That
+    gives Phi_rad for the radical rad of L, and Phi_L(x) = Phi_rad(x^(L/rad));
+    Phi_1 = x - 1.  Nothing is cached: a caller that reads a level more than
+    once keeps its own copy.
     """
     if level < 1:
         raise DomainError("cyclotomic level must be positive")
@@ -346,8 +348,11 @@ def cyclotomic_polynomial(level: int) -> UPoly:
         if p * p > rest:
             p = rest  # what is left is prime
         if rest % p == 0:
-            phi, rem = monic_divmod(_stretch(phi, p), phi)
-            assert not any(rem)
+            if rad == 1:
+                phi = [1] * p
+            else:
+                phi, rem = monic_divmod(_stretch(phi, p), phi)
+                assert not any(rem)
             rad *= p
             while rest % p == 0:
                 rest //= p

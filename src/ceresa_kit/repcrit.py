@@ -31,8 +31,9 @@ the L-th cyclotomic polynomial; the average is rational exactly when the
 remainder is constant.  Over a cyclic group the sum of zeta^(jk) over the
 elements g^k is n or 0, so each group sum is n times a count read off the
 generator's count vector, or, for chi^3, one constant term of its packed
-cube: one count vector and one cube per space, where the class sums would
-pack and cube n classes.
+cube: one count vector per profile and one cube per space, where the class
+sums would pack and cube n classes.  Both spaces, V and H^1, are evaluated
+together, once per profile.
 An irrational, non-integral or negative average proves the input was not a
 genuine group action and raises :class:`ProfileError`.
 
@@ -260,62 +261,73 @@ def _vector_to_dim(total: Sequence[int], scale: int, level: int) -> int:
     return dim
 
 
-@lru_cache(maxsize=2)  # a call evaluates one profile, on V and on H1
-def _group_sums(profile: Profile, space: str) -> tuple[tuple[int, ...], ...]:
-    """Sums of chi, chi^3, chi * chi2 and chi3 over the group, folded.
+def _conjugate_counts(counts: list[int]) -> list[int]:
+    # The count vector of a multiset together with its negatives: c[i] + c[-i].
+    return [a + b for a, b in zip(counts, counts[:1] + counts[:0:-1])]
+
+
+def _cyclic_sums(counts: list[int], level: int, nbytes: int) -> tuple[tuple[int, ...], ...]:
+    # The four group sums of a cyclic group of order `level` on the space
+    # whose count vector is `counts`; see `_group_sums`.
+    packed = _pack(counts, nbytes)
+    digit = (1 << 8 * nbytes) - 1  # mask of digit 0, the constant term
+    cube = _fold(packed * packed * packed, level, nbytes) & digit
+    # c[i] * c[-2i] for i = 1, ..., n: c[-2i] is entry 2n - 2i of c + c
+    cross = sum(map(mul, counts[1:] + counts[:1], (counts * 2)[-2::-2]))
+    triple = sum(counts[::level // math.gcd(3, level)])  # the i with 3i = 0
+    return tuple((level * total,) for total in (counts[0], cube, cross, triple))
+
+
+@lru_cache(maxsize=1)  # a call evaluates one profile, on both spaces at once
+def _group_sums(profile: Profile) -> dict[str, tuple[tuple[int, ...], ...]]:
+    """Sums of chi, chi^3, chi * chi2 and chi3 over the group, folded, for
+    V and for H^1, from one evaluation of the profile.
 
     chi is the character of V or H^1 on a group element h, chi2 and chi3
-    its values on h^2 and h^3.  An ActionProfile sums size * value over its
-    classes, each value packed from a count vector.  Over a cyclic group of
-    order n, the space's count vector c is the generator's on V, and
-    c_V[i] + c_V[-i] on H^1.  chi(g^k) = P(zeta^k) for the packed count
-    vector P, and the sum of zeta^(jk) over k is n when n divides j and 0
-    otherwise.  So the sums are n * c[0], n times the constant term of P^3
-    folded mod x^n - 1 (the one product), n * (sum of c[i] * c[-2i]) and
-    n * (sum of c[i] over the i with 3i = 0), each returned as a vector of
-    length one.
+    its values on h^2 and h^3.  H^1's count vectors are V's with their
+    conjugates added, c[i] + c[-i].  An ActionProfile sums size * value over
+    its classes, each value packed from a count vector; one pass over the
+    classes counts each class's exponents e, 2e and 3e once and packs both
+    spaces' values from them.  Over a cyclic group of order n, the count
+    vector c of the space is formed from the generator's, which is counted
+    once.  chi(g^k) = P(zeta^k) for the packed count vector P, and the sum of
+    zeta^(jk) over k is n when n divides j and 0 otherwise.  So the sums are
+    n * c[0], n times the constant term of P^3 folded mod x^n - 1 (the one
+    product), n * (sum of c[i] * c[-2i]) and n * (sum of c[i] over the i
+    with 3i = 0), each returned as a vector of length one.
     """
-    if space not in ("V", "H1"):
-        raise DomainError(f"unknown space {space!r}; expected 'V' or 'H1'")
-    level = profile.level
-    nbytes = _digit_bytes(profile, profile.dim if space == "V" else 2 * profile.dim)
-
+    level, d = profile.level, profile.dim
+    widths = {"V": _digit_bytes(profile, d), "H1": _digit_bytes(profile, 2 * d)}
     if isinstance(profile, CyclicProfile):
         counts = _counts(profile.generator, level)
-        if space == "H1":  # each eigenvalue of V with its conjugate: c[i] + c[-i]
-            counts = [a + b for a, b in zip(counts, counts[:1] + counts[:0:-1])]
-        packed = _pack(counts, nbytes)
-        digit = (1 << 8 * nbytes) - 1  # mask of digit 0, the constant term
-        cube = _fold(packed * packed * packed, level, nbytes) & digit
-        # c[i] * c[-2i] for i = 1, ..., n: c[-2i] is entry 2n - 2i of c + c
-        cross = sum(map(mul, counts[1:] + counts[:1], (counts * 2)[-2::-2]))
-        triple = sum(counts[::level // math.gcd(3, level)])  # the i with 3i = 0
-        return tuple((level * total,) for total in (counts[0], cube, cross, triple))
+        return {"V": _cyclic_sums(counts, level, widths["V"]),
+                "H1": _cyclic_sums(_conjugate_counts(counts), level, widths["H1"])}
 
-    def exponents(exps):
-        if space == "H1":  # each eigenvalue of V together with its conjugate
-            return exps + tuple([-e % level for e in exps])
-        return exps
-
-    def characters(exps):
-        exps = exponents(exps)
-        c1 = _pack(_counts(exps, level), nbytes)
-        c2 = _pack(_counts([2 * e % level for e in exps], level), nbytes)
-        c3 = _pack(_counts([3 * e % level for e in exps], level), nbytes)
-        return c1, c1 * c1 * c1, c1 * c2, c3
-
-    sums = [0, 0, 0, 0]
+    sums = {space: [0, 0, 0, 0] for space in widths}
     for cls in profile.classes:
-        for i, value in enumerate(characters(cls.exps)):
-            sums[i] += cls.size * value
-    return tuple(_unpack(_fold(total, level, nbytes), level, nbytes) for total in sums)
+        on_v = [_counts([k * e % level for e in cls.exps], level) for k in (1, 2, 3)]
+        on_h1 = [_conjugate_counts(counts) for counts in on_v]
+        for space, vectors in (("V", on_v), ("H1", on_h1)):
+            nbytes = widths[space]
+            c1, c2, c3 = [_pack(counts, nbytes) for counts in vectors]
+            for i, value in enumerate((c1, c1 * c1 * c1, c1 * c2, c3)):
+                sums[space][i] += cls.size * value
+    return {space: tuple(_unpack(_fold(total, level, nbytes), level, nbytes)
+                         for total in sums[space])
+            for space, nbytes in widths.items()}
+
+
+def _space_sums(profile: Profile, space: str) -> tuple[tuple[int, ...], ...]:
+    if space not in ("V", "H1"):
+        raise DomainError(f"unknown space {space!r}; expected 'V' or 'H1'")
+    return _group_sums(profile)[space]
 
 
 def dim_inv_wedge3(profile: Profile, space: str = "V") -> int:
     """Dimension of the group invariants of the exterior cube of V or of H^1."""
     if profile.dim < 3:
         raise DomainError("exterior cube needs dim V >= 3")
-    _, cube, cross, triple = _group_sums(profile, space)
+    _, cube, cross, triple = _space_sums(profile, space)
     # 6 * chi_wedge3 = chi^3 - 3 chi chi2 + 2 chi3, summed over the group
     total = [a - 3 * b + 2 * c for a, b, c in zip(cube, cross, triple)]
     return _vector_to_dim(total, 6 * profile.group_order, profile.level)
@@ -323,7 +335,7 @@ def dim_inv_wedge3(profile: Profile, space: str = "V") -> int:
 
 def invariant_dim(profile: Profile, space: str = "V") -> int:
     """Dimension of the group invariants of V or of H^1 = V + conjugate(V)."""
-    return _vector_to_dim(_group_sums(profile, space)[0], profile.group_order, profile.level)
+    return _vector_to_dim(_space_sums(profile, space)[0], profile.group_order, profile.level)
 
 
 def griffiths_criterion_applies(profile: Profile) -> bool:
@@ -379,8 +391,17 @@ def dihedral_genus(m: int, a: int, b: int) -> int:
 
 
 def _epsilon_spectrum(m: int, a: int, b: int) -> list[int]:
-    # n contributes an eigencharacter iff m divides neither n*a nor n*b.
-    return [n for n in range(1, m) if (n * a) % m != 0 and (n * b) % m != 0]
+    """The n in 1, ..., m - 1 with an eigencharacter: m divides neither n*a nor n*b.
+
+    m divides n*c exactly when n is a multiple of m/gcd(m, c), and there are
+    gcd(m, c) such n in 0, ..., m - 1, so two strided slice assignments, one
+    for a and one for b, strike them out of range(m), 0 included.
+    """
+    members = list(range(m))
+    for c in (a, b):
+        g = math.gcd(m, c)
+        members[::m // g] = [0] * g
+    return list(filter(None, members))
 
 
 def dihedral_profile(m: int, a: int, b: int) -> CyclicProfile:

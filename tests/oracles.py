@@ -130,6 +130,36 @@ def _divisors(n: int) -> list[int]:
     return divs
 
 
+def is_prime(n: int) -> bool:
+    return n > 1 and _factorization(n) == {n: 1}
+
+
+def geometric_series_by_division(n: int) -> UPoly:
+    """(x^n - 1) / (x - 1) by rational polynomial division, checked exact."""
+    quot, rem = divmod(UPoly.x_pow(n) - UPoly.one(), UPoly([-1, 1]))
+    assert rem.is_zero()
+    return quot
+
+
+def product_of_divisor_polys(level: int, poly) -> list[int]:
+    """The integer coefficients of the product of poly(d) over the divisors d
+    of the level, by schoolbook convolution."""
+    product = [1]
+    for d in sorted(_divisors(level)):
+        factor = [int(c) for c in poly(d).coeffs]
+        out = [0] * (len(product) + len(factor) - 1)
+        for i, c in enumerate(product):
+            for j, e in enumerate(factor):
+                out[i + j] += c * e
+        product = out
+    return product
+
+
+def epsilon_spectrum_by_definition(m: int, a: int, b: int) -> list[int]:
+    """The n in 1, ..., m - 1 with m dividing neither n*a nor n*b."""
+    return [n for n in range(1, m) if n * a % m and n * b % m]
+
+
 def rational_roots(p: UPoly) -> set[Fraction]:
     """All rational roots, by the rational root theorem on the scaled poly."""
     assert not p.is_zero()

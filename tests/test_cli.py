@@ -673,14 +673,15 @@ ONE_CALL_EACH = {
 }
 
 
-def run_child(argv, stdout, cwd=None, **env):
-    """`ceresa-kit argv` in a child process writing to `stdout`, with `env` set."""
+def run_child(argv, stdout, cwd=None, preexec_fn=None, **env):
+    """`ceresa-kit argv` in a child process writing to `stdout`, with `env` set;
+    `preexec_fn` runs in the child before it starts Python."""
     src = str(Path(ceresa.__file__).resolve().parent.parent)
     return subprocess.run(
         [sys.executable, "-c", "import sys; from ceresa_kit.cli import main; sys.exit(main())",
          *argv],
         stdout=stdout, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src, **env},
-        cwd=cwd, timeout=60)
+        cwd=cwd, preexec_fn=preexec_fn, timeout=60)
 
 
 def readme_examples() -> list[list[str]]:
@@ -765,6 +766,16 @@ def test_a_full_device_is_one_write_error_for_every_subcommand(name):
     assert done.returncode == 2
     assert done.stderr.decode() == (
         f"error: cannot write '<stdout>': {os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 between fork and exec")
+@pytest.mark.parametrize("name", ONE_CALL_EACH)
+def test_a_closed_stdout_is_one_write_error_for_every_subcommand(name):
+    # As `ceresa-kit ... >&-`: Python starts with sys.stdout None.  The calls
+    # cover text (repcrit) and --format json (decide, dihedral, strata).
+    done = run_child([name, *ONE_CALL_EACH[name]], None, preexec_fn=lambda: os.close(1))
+    assert (done.returncode, done.stderr.decode()) == (
+        2, f"error: cannot write '<stdout>': {os.strerror(errno.EBADF)}\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

@@ -22,7 +22,10 @@ from oracles import (
     NotRationalError,
     cyc_to_rational,
     euler_phi,
+    geometric_series_by_division,
+    is_prime,
     poly_discriminant,
+    product_of_divisor_polys,
     random_rational,
     resultant,
     root_of_unity,
@@ -239,6 +242,19 @@ def test_cyclotomic_examples():
             if level % d == 0:
                 product = product * cyclotomic_polynomial(d)
         assert product == UPoly.x_pow(level) - UPoly.one()
+
+
+def test_cyclotomic_polynomials_multiply_to_x_to_the_level_minus_one():
+    for level in range(1, 129):
+        assert product_of_divisor_polys(level, cyclotomic_polynomial) == (
+            [-1] + [0] * (level - 1) + [1]), level
+
+
+def test_cyclotomic_polynomial_of_a_prime_is_the_geometric_series():
+    primes = [p for p in range(1000) if is_prime(p)]
+    assert len(primes) == 168
+    for p in primes:
+        assert cyclotomic_polynomial(p) == UPoly([1] * p) == geometric_series_by_division(p)
 
 
 def test_monic_divmod_matches_rational_division():

@@ -35,6 +35,7 @@ from ceresa_kit.repcrit import (
 from oracles import (
     char_power,
     cyc_to_rational,
+    epsilon_spectrum_by_definition,
     invariant_dim_cyclotomic,
     invariants_bruteforce,
     wedge3_dim_cyclotomic,
@@ -206,6 +207,20 @@ def test_dihedral_vanishing_named_cases():
     assert dihedral_witness_triple(7, 1, 2) == (1, 2, 4)
 
 
+def test_epsilon_spectrum_is_the_definition_for_every_m_below_100():
+    valid = 0
+    for m in range(1, 100):
+        for b in range(1, (m + 1) // 2):
+            for a in range(1, b):
+                if math.gcd(m, math.gcd(a, b)) != 1:
+                    continue
+                spectrum = repcrit._epsilon_spectrum(m, a, b)
+                assert spectrum == epsilon_spectrum_by_definition(m, a, b), (m, a, b)
+                assert dihedral_profile(m, a, b).generator == tuple(spectrum)
+                valid += 1
+    assert valid == 32298
+
+
 def test_dihedral_witness_triple_refuses_what_dihedral_criterion_refuses():
     # a > b, gcd(m, a, b) = 2, 2b = m, and an m whose spectrum would never finish
     for m, a, b in ((7, 2, 1), (12, 2, 4), (6, 1, 3), (10**11, 1, 2)):
@@ -336,9 +351,9 @@ def _clear_package_caches():
 CACHE_BOUNDS = {
     # The package's one copy of Phi_L: a call reads one level.
     "repcrit._phi_coeffs": 1,
-    # Keyed by (profile, space): a call evaluates one profile, on V and on H1,
-    # and reads dim (wedge^3 H1)^G and dim (H1)^G off the one H1 evaluation.
-    "repcrit._group_sums": 2,
+    # Keyed by profile: a call evaluates one profile, on V and on H1 at once,
+    # and reads all three dimensions off the one evaluation.
+    "repcrit._group_sums": 1,
 }
 
 
@@ -356,9 +371,9 @@ def test_profile_caches_hold_one_evaluation_over_a_sweep():
         griffiths_criterion_applies(profile)
         chow_criterion_applies(profile)
     info = repcrit._group_sums.cache_info()
-    # Each profile is evaluated once per space: the Chow criterion's two
-    # dimensions share the H1 evaluation.
-    assert info.currsize <= 2 and (info.misses, info.hits) == (20, 10)
+    # Each profile is evaluated once, for both spaces: the Chow criterion's
+    # two dimensions read the evaluation the Griffiths criterion made.
+    assert info.currsize <= 1 and (info.misses, info.hits) == (10, 20)
 
 
 def test_one_repcrit_call_computes_each_invariant_once(monkeypatch, capsys):
@@ -372,11 +387,12 @@ def test_one_repcrit_call_computes_each_invariant_once(monkeypatch, capsys):
     assert cli.main(["repcrit", "--profile", "dihedral:63,1,5", "--format", "json"]) == 0
     capsys.readouterr()
     # One wedge^3 dimension per space and dim (H1)^G once: both criteria are
-    # read off these three.  One group-sum pass per space, and Phi_63 once.
+    # read off these three.  One group-sum evaluation for both spaces, and
+    # Phi_63 once.
     assert [args[1] for args in calls["dim_inv_wedge3"]] == ["V", "H1"]
     assert [args[1] for args in calls["invariant_dim"]] == ["H1"]
     assert len(calls["_vector_to_dim"]) == 3
-    assert repcrit._group_sums.cache_info().misses == 2
+    assert repcrit._group_sums.cache_info().misses == 1
     assert repcrit._phi_coeffs.cache_info().misses == 1
 
 
