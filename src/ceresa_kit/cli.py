@@ -43,10 +43,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 #: Most points a `scan` grid may have: the product of its axis lengths,
-#: counted before any value is built.  The CLI decides two to three
-#: thousand points a second (2,000 on a 21^3 grid of sevenths and 2,670 on
-#: one of integers, CPython 3.11 on a 2-vCPU machine), so a grid at the cap
-#: takes 6 to 8.5 minutes.
+#: counted before any value is built.  The CLI decides 1,180-1,410 points a
+#: second on a 21^3 grid of sevenths and 1,470-1,890 on one of integers
+#: (CPython 3.11, shared 2-vCPU machine), so a grid at the cap takes 9-14 min.
 MAX_SCAN_POINTS = 10**6
 
 

@@ -8,7 +8,8 @@ Conventions used throughout the package:
     minus on the numerator only), and ``str`` writes it.
   * A polynomial is a dense tuple of Fraction coefficients, index =
     degree, trailing zeros trimmed.  The zero polynomial has an empty
-    coefficient tuple and degree -1.
+    coefficient tuple and degree -1.  ``monic_divmod`` and ``_stretch``
+    take plain, untrimmed lists of int coefficients, index = degree.
 
 All values are immutable and every operation is a pure function, so they
 can be shared freely between threads.  There are no floats anywhere.
@@ -100,7 +101,8 @@ def integer(text: str) -> int:
 
 
 def _int_nth_root(k: int, n: int) -> int:
-    """Floor of the n-th root of a nonnegative integer, by Newton iteration."""
+    """Floor r of the n-th root of a nonnegative integer, by Newton iteration
+    from above: by AM-GM no step falls below r, and above r each decreases."""
     if k < 0:
         raise ValueError("negative radicand")
     if k in (0, 1) or n == 1:
@@ -113,8 +115,6 @@ def _int_nth_root(k: int, n: int) -> int:
         if y >= x:
             break
         x = y
-    while x ** n > k:
-        x -= 1
     return x
 
 
@@ -338,8 +338,7 @@ def cyclotomic_polynomial(level: int) -> UPoly:
     arithmetic (every cyclotomic polynomial is monic with integer
     coefficients), so a prime or prime-power level divides nothing.  That
     gives Phi_rad for the radical rad of L, and Phi_L(x) = Phi_rad(x^(L/rad));
-    Phi_1 = x - 1.  Nothing is cached: a caller that reads a level more than
-    once keeps its own copy.
+    Phi_1 = x - 1.  Nothing is kept: a repcrit profile keeps its own level's.
     """
     if level < 1:
         raise DomainError("cyclotomic level must be positive")

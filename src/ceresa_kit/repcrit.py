@@ -32,8 +32,8 @@ remainder is constant.  Over a cyclic group the sum of zeta^(jk) over the
 elements g^k is n or 0, so each group sum is n times a count read off the
 generator's count vector, or, for chi^3, one constant term of its packed
 cube: one count vector per profile and one cube per space, where the class
-sums would pack and cube n classes.  Both spaces, V and H^1, are evaluated
-together, once per profile.
+sums would pack and cube n classes.  A profile's first dimension read
+evaluates both spaces, V and H^1, and Phi_L; the profile keeps the result.
 An irrational, non-integral or negative average proves the input was not a
 genuine group action and raises :class:`ProfileError`.
 
@@ -49,7 +49,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 
 from .errors import DomainError, ProfileError, clipped, open_path, quoted
@@ -92,7 +91,8 @@ class ConjClass(Value):
 class ActionProfile(Value):
     """Eigenvalue data of a finite group acting on a space of dimension g."""
 
-    __slots__ = _fields = ("group_order", "level", "classes")
+    __slots__ = ("group_order", "level", "classes", "evaluation")
+    _fields = ("group_order", "level", "classes")
     group_order: int
     level: int
     classes: tuple[ConjClass, ...]
@@ -133,10 +133,11 @@ class CyclicProfile(Value):
     ``generator`` holds the generator's eigenvalue exponents, reduced mod n
     on construction; the level is n.  The kernel reads the generator alone.
     ``classes`` lists the n elements g^k as an :class:`ActionProfile` does,
-    built each time it is read.
+    built each time it is read.  ``evaluation`` is kept by `_space_sums`.
     """
 
-    __slots__ = _fields = ("group_order", "generator")
+    __slots__ = ("group_order", "generator", "evaluation")
+    _fields = ("group_order", "generator")
     group_order: int
     generator: tuple[int, ...]
 
@@ -194,8 +195,8 @@ def _digit_bytes(profile: Profile, d: int) -> int:
     # a cyclic profile's one cube has digits of at most d^3.  Every partial
     # sum of a digit, in the class sums and in `_fold`, adds non-negative
     # terms of that final digit, so it never exceeds the bound either, and
-    # the bound's bit length, rounded up to whole bytes, never carries.
-    return ((profile.group_order * d**3).bit_length() + 7) // 8
+    # the bound's bit length, in whole bytes (at least one), never carries.
+    return max(1, ((profile.group_order * d**3).bit_length() + 7) // 8)
 
 
 def _counts(exps: Sequence[int], level: int) -> list[int]:
@@ -238,18 +239,11 @@ def _unpack(packed: int, level: int, nbytes: int) -> tuple[int, ...]:
                   for i in range(0, len(data), nbytes)])
 
 
-@lru_cache(maxsize=1)  # a call reads one level
-def _phi_coeffs(level: int) -> tuple[int, ...]:
-    # The integer coefficients of Phi_L: the package's one copy of it.
-    return tuple([c.numerator for c in cyclotomic_polynomial(level).coeffs])
-
-
-def _vector_to_dim(total: Sequence[int], scale: int, level: int) -> int:
+def _vector_to_dim(total: Sequence[int], scale: int, phi: Sequence[int]) -> int:
     # total[i] are the coefficients of scale * (invariant average) in powers
-    # of zeta; the remainder mod the cyclotomic polynomial is the unique
-    # representative of degree < phi(level), constant iff the value is rational.
+    # of zeta; the remainder mod Phi_L, of coefficients phi, is the unique
+    # representative of degree < phi(L), constant iff the value is rational.
     # A total shorter than Phi_L (every cyclic one has length 1) is its own.
-    phi = _phi_coeffs(level)
     rem = total if len(total) < len(phi) else monic_divmod(total, phi)[1]
     if any(rem[1:]):
         raise ProfileError("invariant average is irrational; not a group action")
@@ -278,10 +272,9 @@ def _cyclic_sums(counts: list[int], level: int, nbytes: int) -> tuple[tuple[int,
     return tuple((level * total,) for total in (counts[0], cube, cross, triple))
 
 
-@lru_cache(maxsize=1)  # a call evaluates one profile, on both spaces at once
 def _group_sums(profile: Profile) -> dict[str, tuple[tuple[int, ...], ...]]:
     """Sums of chi, chi^3, chi * chi2 and chi3 over the group, folded, for
-    V and for H^1, from one evaluation of the profile.
+    V and for H^1 at once.
 
     chi is the character of V or H^1 on a group element h, chi2 and chi3
     its values on h^2 and h^3.  H^1's count vectors are V's with their
@@ -317,25 +310,34 @@ def _group_sums(profile: Profile) -> dict[str, tuple[tuple[int, ...], ...]]:
             for space, nbytes in widths.items()}
 
 
-def _space_sums(profile: Profile, space: str) -> tuple[tuple[int, ...], ...]:
+def _space_sums(profile: Profile, space: str) -> tuple[tuple[tuple[int, ...], ...], tuple]:
+    # One space's group sums and Phi_L's integer coefficients.  The first read
+    # evaluates the profile for both spaces, and the profile keeps it.
     if space not in ("V", "H1"):
-        raise DomainError(f"unknown space {space!r}; expected 'V' or 'H1'")
-    return _group_sums(profile)[space]
+        raise DomainError(f"unknown space {quoted(space)}; expected 'V' or 'H1'")
+    try:
+        sums, phi = profile.evaluation
+    except AttributeError:
+        sums = _group_sums(profile)
+        phi = tuple([c.numerator for c in cyclotomic_polynomial(profile.level).coeffs])
+        object.__setattr__(profile, "evaluation", (sums, phi))
+    return sums[space], phi
 
 
 def dim_inv_wedge3(profile: Profile, space: str = "V") -> int:
     """Dimension of the group invariants of the exterior cube of V or of H^1."""
     if profile.dim < 3:
         raise DomainError("exterior cube needs dim V >= 3")
-    _, cube, cross, triple = _space_sums(profile, space)
+    (_, cube, cross, triple), phi = _space_sums(profile, space)
     # 6 * chi_wedge3 = chi^3 - 3 chi chi2 + 2 chi3, summed over the group
     total = [a - 3 * b + 2 * c for a, b, c in zip(cube, cross, triple)]
-    return _vector_to_dim(total, 6 * profile.group_order, profile.level)
+    return _vector_to_dim(total, 6 * profile.group_order, phi)
 
 
 def invariant_dim(profile: Profile, space: str = "V") -> int:
     """Dimension of the group invariants of V or of H^1 = V + conjugate(V)."""
-    return _vector_to_dim(_space_sums(profile, space)[0], profile.group_order, profile.level)
+    (total, *_), phi = _space_sums(profile, space)
+    return _vector_to_dim(total, profile.group_order, phi)
 
 
 def griffiths_criterion_applies(profile: Profile) -> bool:

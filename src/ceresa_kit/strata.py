@@ -102,7 +102,7 @@ def verdict_consistency(table: dict[str, StratumRecord] | None = None) -> bool:
 def mutated_table(label: str, field: str) -> dict[str, StratumRecord]:
     """Copy of the shipped table with one verdict flag toggled (for testing)."""
     if field not in ("chow_torsion", "griffiths_torsion"):
-        raise DomainError(f"not a verdict flag: {field!r}")
+        raise DomainError(f"not a verdict flag: {quoted(field)}")
     record = stratum_info(label)
     values = [not value if name == field else value
               for name, value in zip(record._fields, record._astuple(record))]

@@ -51,8 +51,6 @@ def test_every_workload_has_a_representative_call(bench):
 def test_traced_call_reaches_every_expected_layer(bench, tmp_path, workload):
     run, tracer_module = bench
     argv = [arg.format(out=tmp_path / "scan.csv") for arg in CALLS[workload]]
-    for cache in run.package_caches().values():
-        cache.cache_clear()
     tracer = tracer_module.Tracer(run.PACKAGE, list(run.SPAN_LAYERS), list(run.COUNT_LAYERS))
     tracer.install()
     try:

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from ceresa_kit.errors import DomainError
 from ceresa_kit.exactmath import (
     MAX_LITERAL_CHARS,
+    _int_nth_root,
     UPoly,
     cyclotomic_polynomial,
     integer,
@@ -183,6 +184,23 @@ def test_rational_nth_root():
     assert rational_nth_root(Fraction(-1), 2) is None
     big = Fraction(10**60 + 1) ** 3
     assert rational_nth_root(big, 3) == 10**60 + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**1000), st.integers(1, 12))
+@example(0, 5)
+@example(1, 12)
+@example(2**64 - 1, 2)
+@example(3**12 * 5**12 - 1, 12)
+@example(10**1000, 3)
+def test_int_nth_root_is_the_floor_of_the_root(k, n):
+    r = _int_nth_root(k, n)
+    assert r**n <= k < (r + 1) ** n
+
+
+def test_int_nth_root_refuses_a_negative_radicand():
+    with pytest.raises(ValueError, match="^negative radicand$"):
+        _int_nth_root(-1, 3)
 
 
 def test_upoly_divmod_roundtrip():

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import copy
 import importlib
 import json
 import math
+import pickle
 import pkgutil
 import random
 import subprocess
@@ -14,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import ceresa_kit
 from ceresa_kit import cli, repcrit
-from ceresa_kit.errors import DomainError, ProfileError
+from ceresa_kit.errors import DomainError, ProfileError, quoted
 from ceresa_kit.exactmath import UPoly
 from ceresa_kit.repcrit import (
     ActionProfile,
@@ -330,70 +332,122 @@ def test_cyclic_sums_of_an_all_zero_generator(dim):
         assert invariant_dim(profile, "H1") == 2 * dim
 
 
-def _package_caches() -> dict:
-    """Every lru_cache of the package's imported modules, by "module.function"."""
-    found = {}
-    for name, module in list(sys.modules.items()):
-        if name.startswith("ceresa_kit."):
-            for attr, value in vars(module).items():
-                if callable(getattr(value, "cache_clear", None)) and value.__module__ == name:
-                    found[f"{name[len('ceresa_kit.'):]}.{attr}"] = value
-    return found
+@pytest.mark.parametrize("profile", [ActionProfile(1, 1, (ConjClass(1, ()),)),
+                                     cyclic_profile(3, ())], ids=["classes", "cyclic"])
+def test_a_dim_0_profile_has_no_invariants(profile):
+    # Every digit bound is 0 there; a digit is still one byte wide.
+    assert repcrit._digit_bytes(profile, 0) == 1
+    assert [invariant_dim(profile, space) for space in ("V", "H1")] == [0, 0]
+    with pytest.raises(DomainError, match=r"^exterior cube needs dim V >= 3$"):
+        dim_inv_wedge3(profile, "V")
 
 
-def _clear_package_caches():
-    for cache in _package_caches().values():
-        cache.cache_clear()
+def test_the_cli_refuses_a_dim_0_profile_file(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"group_order": 1, "level": 1,
+                                "classes": [{"size": 1, "exps": []}]}))
+    assert cli.main(["repcrit", "--profile", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: exterior cube needs dim V >= 3\n")
 
 
-#: The bound of every cache in the package, and why it suffices.  A new or a
-#: resized cache states its bound here.
-CACHE_BOUNDS = {
-    # The package's one copy of Phi_L: a call reads one level.
-    "repcrit._phi_coeffs": 1,
-    # Keyed by profile: a call evaluates one profile, on V and on H1 at once,
-    # and reads all three dimensions off the one evaluation.
-    "repcrit._group_sums": 1,
-}
+def test_an_unknown_space_is_quoted_short():
+    space = "x" * 3000
+    profile = preset_profile("picard_c3")
+    for read in (invariant_dim, dim_inv_wedge3):
+        with pytest.raises(DomainError) as refusal:
+            read(profile, space)
+        assert str(refusal.value) == f"unknown space {quoted(space)}; expected 'V' or 'H1'"
+        assert len(str(refusal.value)) < 90
 
 
-def test_every_package_cache_has_a_documented_bound():
+def test_no_package_module_keeps_an_lru_cache():
+    # A profile keeps its own evaluation, so the package needs no cache
+    # with a hand-chosen bound: no function or method is wrapped in one.
     for module in pkgutil.iter_modules(ceresa_kit.__path__):
         importlib.import_module(f"ceresa_kit.{module.name}")
-    caches = _package_caches()
-    assert {name: cache.cache_info().maxsize for name, cache in caches.items()} == CACHE_BOUNDS
+    cached = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ceresa_kit."):
+            values = [*vars(module).values()]
+            values += [attr for cls in values if isinstance(cls, type) for attr in
+                       vars(cls).values()]
+            cached += [value for value in values
+                       if callable(getattr(value, "cache_info", None))
+                       and getattr(value, "__module__", None) == name]
+    assert cached == []
 
 
-def test_profile_caches_hold_one_evaluation_over_a_sweep():
-    repcrit._group_sums.cache_clear()
-    for m in range(31, 51, 2):
-        profile = dihedral_profile(m, 1, 3)
-        griffiths_criterion_applies(profile)
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The profiles passed to `_group_sums` and the levels passed to
+    `cyclotomic_polynomial`, one entry per call."""
+    log = {"_group_sums": [], "cyclotomic_polynomial": []}
+    for name, calls in log.items():
+        original = getattr(repcrit, name)
+        monkeypatch.setattr(repcrit, name,
+                            lambda arg, calls=calls, original=original:
+                            calls.append(arg) or original(arg))
+    return log
+
+
+def test_each_profile_is_evaluated_once_over_a_sweep(evaluations):
+    profiles = [dihedral_profile(m, 1, 3) for m in range(31, 51, 2)]
+    # Built, a profile is not yet evaluated: the first dimension read does it.
+    assert evaluations == {"_group_sums": [], "cyclotomic_polynomial": []}
+    for profile in profiles:
+        holds = griffiths_criterion_applies(profile)
+        assert holds == (dihedral_witness_triple(profile.level, 1, 3) is None)
         chow_criterion_applies(profile)
-    info = repcrit._group_sums.cache_info()
-    # Each profile is evaluated once, for both spaces: the Chow criterion's
-    # two dimensions read the evaluation the Griffiths criterion made.
-    assert info.currsize <= 1 and (info.misses, info.hits) == (10, 20)
+    # Each profile is evaluated once, for both spaces, with Phi_L once: the
+    # Chow criterion's two dimensions read the evaluation the Griffiths
+    # criterion made.
+    assert evaluations["_group_sums"] == profiles
+    assert evaluations["cyclotomic_polynomial"] == [profile.level for profile in profiles]
+    # Read again, in the other order, the kept evaluations give the same
+    # dimensions as a fresh, equal profile evaluates.
+    dims = [dim_inv_wedge3(profile, "H1") for profile in reversed(profiles)]
+    assert len(evaluations["_group_sums"]) == len(profiles)
+    assert dims == [dim_inv_wedge3(dihedral_profile(profile.level, 1, 3), "H1")
+                    for profile in reversed(profiles)]
+    assert len(evaluations["_group_sums"]) == 2 * len(profiles)
 
 
-def test_one_repcrit_call_computes_each_invariant_once(monkeypatch, capsys):
+@pytest.mark.parametrize("kind", ["cyclic", "classes"])
+def test_one_repcrit_call_evaluates_its_profile_once(monkeypatch, capsys, tmp_path,
+                                                     evaluations, kind):
     calls = {name: [] for name in ("dim_inv_wedge3", "invariant_dim", "_vector_to_dim")}
     for name, log in calls.items():
         original = getattr(repcrit, name)
         monkeypatch.setattr(repcrit, name,
                             lambda *args, log=log, original=original:
                             log.append(args) or original(*args))
-    _clear_package_caches()
-    assert cli.main(["repcrit", "--profile", "dihedral:63,1,5", "--format", "json"]) == 0
-    capsys.readouterr()
+    spec = "dihedral:63,1,5"
+    if kind == "classes":  # an ActionProfile: the file lists every class
+        spec = tmp_path / "dihedral.json"
+        spec.write_text(json.dumps(dihedral_profile(63, 1, 5).to_json()))
+    assert cli.main(["repcrit", "--profile", str(spec), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["wedge3_v_invariants"] == 600
     # One wedge^3 dimension per space and dim (H1)^G once: both criteria are
     # read off these three.  One group-sum evaluation for both spaces, and
     # Phi_63 once.
     assert [args[1] for args in calls["dim_inv_wedge3"]] == ["V", "H1"]
     assert [args[1] for args in calls["invariant_dim"]] == ["H1"]
     assert len(calls["_vector_to_dim"]) == 3
-    assert repcrit._group_sums.cache_info().misses == 1
-    assert repcrit._phi_coeffs.cache_info().misses == 1
+    assert len(evaluations["_group_sums"]) == 1
+    assert evaluations["cyclotomic_polynomial"] == [63]
+
+
+def test_the_kept_evaluation_is_not_part_of_the_value():
+    for profile in (dihedral_profile(15, 1, 4),
+                    profile_from_json(dihedral_profile(15, 1, 4).to_json())):
+        fresh = copy.copy(profile)
+        before = (repr(profile), hash(profile), profile.to_json())
+        assert not hasattr(profile, "evaluation")
+        assert chow_criterion_applies(profile) is False
+        assert hasattr(profile, "evaluation") and not hasattr(fresh, "evaluation")
+        assert (repr(profile), hash(profile), profile.to_json()) == before
+        assert profile == fresh
+        assert not hasattr(pickle.loads(pickle.dumps(profile)), "evaluation")
 
 
 def test_primitive_dim_is_the_difference_and_refuses_a_negative_one():
@@ -424,15 +478,14 @@ def test_repcrit_criteria_are_the_library_criteria(capsys, tmp_path):
     assert len(specs) == 3 + 2 + 1846
 
 
-def test_a_total_shorter_than_phi_is_its_own_remainder(monkeypatch):
+def test_a_total_shorter_than_phi_is_its_own_remainder(monkeypatch, evaluations):
     divisions, original = [], repcrit.monic_divmod
     monkeypatch.setattr(repcrit, "monic_divmod",
                         lambda *args: divisions.append(args) or original(*args))
-    _clear_package_caches()
     profile = dihedral_profile(63, 1, 5)
     assert chow_criterion_applies(profile) is False and dim_inv_wedge3(profile, "V") == 600
-    # Every cyclic total has length 1, so no division; Phi_63 is still read once.
-    assert divisions == [] and repcrit._phi_coeffs.cache_info().misses == 1
+    # Every cyclic total has length 1, so no division; Phi_63 is still built once.
+    assert divisions == [] and evaluations["cyclotomic_polynomial"] == [63]
     klein = profile_from_json(preset_profile("klein_c7").to_json())
     assert dim_inv_wedge3(klein, "V") == 1 and len(divisions) == 1
 
@@ -444,20 +497,6 @@ def test_pack_is_kronecker_substitution(counts, nbytes):
     counts = [c % 256**nbytes for c in counts]  # each count fits its digit
     packed = sum(c << 8 * nbytes * i for i, c in enumerate(counts))
     assert repcrit._pack(counts, nbytes) == packed
-
-
-def test_cyclotomic_cache_stays_bounded_over_a_sweep_of_levels():
-    bound = repcrit._phi_coeffs.cache_info().maxsize
-    levels = range(7, 40)
-    profiles = [dihedral_profile(m, 1, 3) for m in levels]
-    assert len({profile.level for profile in profiles}) > bound
-    repcrit._group_sums.cache_clear()
-    dims = [dim_inv_wedge3(profile, "V") for profile in profiles]
-    assert repcrit._phi_coeffs.cache_info().currsize <= bound
-    # The early levels have left the cache; computed again, they agree.
-    repcrit._group_sums.cache_clear()
-    assert [dim_inv_wedge3(profile, "V") for profile in reversed(profiles)] == dims[::-1]
-    assert [d == 0 for d in dims] == [dihedral_witness_triple(m, 1, 3) is None for m in levels]
 
 
 def test_profile_json_round_trip():

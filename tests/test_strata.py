@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ceresa_kit.ceresa import PicardCurve, decide
-from ceresa_kit.errors import DomainError
+from ceresa_kit.errors import DomainError, quoted
 from ceresa_kit.repcrit import chow_criterion_applies, griffiths_criterion_applies, preset_profile
 from ceresa_kit.strata import (
     CHOW_TORSION_STRATA,
@@ -111,6 +111,14 @@ def test_consistency_fails_on_every_verdict_flag_mutation():
     for label in labels():
         for field in ("chow_torsion", "griffiths_torsion"):
             assert not verdict_consistency(mutated_table(label, field)), (label, field)
+
+
+def test_an_unknown_verdict_flag_is_quoted_short():
+    field = "x" * 3000
+    with pytest.raises(DomainError) as refusal:
+        mutated_table("C9", field)
+    assert str(refusal.value) == f"not a verdict flag: {quoted(field)}"
+    assert len(str(refusal.value)) < 70
 
 
 def test_consistency_fails_on_poset_breakage():
