@@ -10,14 +10,16 @@ import os
 import re
 import sys
 from collections.abc import Iterable, Iterator
-from fractions import Fraction
 
-from . import ceresa, repcrit, strata
-from .ceresa import PicardCurve
-from .elliptic import WeierstrassCurve, affine, torsion_order_q
+# Each handler reads the kernel modules it runs as attributes of the package,
+# which imports each on first use (`ceresa_kit.__getattr__`): help and usage
+# errors load none of them (nor `fractions`), and a subcommand loads only its
+# own.  An import statement in a handler would run importlib's code on every
+# call, a few microseconds, even for a module already loaded.
+import ceresa_kit
+
 from .errors import DomainError, clipped, open_path, quoted
-from .exactmath import int_max_str_digits, integer, max_literal_chars, rat
-from .quartic import DepressedQuartic
+from .literals import PRESET_NAMES, int_max_str_digits, integer, max_literal_chars
 
 
 class UsageError(Exception):
@@ -49,12 +51,15 @@ class _Parser(argparse.ArgumentParser):
 MAX_SCAN_POINTS = 10**6
 
 
-def _parse_axis(text: str) -> tuple[int, Iterable[Fraction]]:
+def _parse_axis(text: str) -> tuple[int, Iterable]:
     """A grid axis, "lo:hi[:step]" (inclusive) or a comma-separated list.
 
     Returns its exact number of values and the values; a range's values
     are built only as they are read.
     """
+    from fractions import Fraction
+
+    rat = ceresa_kit.exactmath.rat
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (2, 3):
@@ -70,7 +75,7 @@ def _parse_axis(text: str) -> tuple[int, Iterable[Fraction]]:
     return len(values), values
 
 
-def _range_values(text: str, lo: Fraction, step: Fraction, count: int) -> Iterator[Fraction]:
+def _range_values(text: str, lo, step, count: int) -> Iterator:
     # A range value, like a literal, must have numerator and denominator
     # below 10^max_literal_chars(), so that every scan row can be printed.
     cap = max_literal_chars()
@@ -83,7 +88,7 @@ def _range_values(text: str, lo: Fraction, step: Fraction, count: int) -> Iterat
         v += step
 
 
-def _scan_axes(*texts: str) -> list[list[Fraction]]:
+def _scan_axes(*texts: str) -> list[list]:
     """The values of each grid axis, once the grid is known to fit the cap.
 
     An empty grid builds no value; `ceresa.scan` reports it.
@@ -96,16 +101,17 @@ def _scan_axes(*texts: str) -> list[list[Fraction]]:
 
 
 def _cmd_invariants(args) -> tuple[dict, Iterable[str]]:
-    inv = DepressedQuartic(args.a, args.b, args.c).invariants
+    inv = ceresa_kit.quartic.DepressedQuartic(args.a, args.b, args.c).invariants
     return inv.to_json(), (f"I = {inv.I}", f"J = {inv.J}", f"disc = {inv.disc}")
 
 
 def _cmd_decide(args) -> tuple[dict, Iterable[str]]:
-    verdict = ceresa.decide(PicardCurve.from_coefficients(args.a, args.b, args.c))
+    ceresa = ceresa_kit.ceresa
+    verdict = ceresa.decide(ceresa.PicardCurve.from_coefficients(args.a, args.b, args.c))
     return verdict.to_json(), _decide_lines(verdict)
 
 
-def _decide_lines(verdict: ceresa.CeresaVerdict) -> Iterator[str]:
+def _decide_lines(verdict: ceresa_kit.ceresa.CeresaVerdict) -> Iterator[str]:
     curve, chow = verdict.curve, verdict.chow
     inv = curve.invariants
     yield f"curve: y^3 = {curve.quartic}"
@@ -117,9 +123,10 @@ def _decide_lines(verdict: ceresa.CeresaVerdict) -> Iterator[str]:
 
 
 def _cmd_torsion(args) -> tuple[dict, Iterable[str]]:
-    curve = WeierstrassCurve(args.A, args.B)
-    point = affine(args.x, args.y)
-    order = torsion_order_q(curve, point)
+    elliptic = ceresa_kit.elliptic
+    curve = elliptic.WeierstrassCurve(args.A, args.B)
+    point = elliptic.affine(args.x, args.y)
+    order = elliptic.torsion_order_q(curve, point)
     text = "infinite order (non-torsion over Q)" if order is None else f"torsion of order {order}"
     document = {"curve": curve.to_json(), "point": point.to_json(),
                 "torsion": order is not None, "order": order}
@@ -138,7 +145,7 @@ def _check_member_printable(values) -> None:
 
 
 def _cmd_family(args) -> tuple[dict, Iterable[str]]:
-    curve = ceresa.family_generate(args.I, args.J, args.t)
+    curve = ceresa_kit.ceresa.family_generate(args.I, args.J, args.t)
     inv = curve.invariants
     _check_member_printable((*curve.quartic.coefficients(), inv.I, inv.J, inv.disc))
     return (
@@ -148,7 +155,7 @@ def _cmd_family(args) -> tuple[dict, Iterable[str]]:
 
 
 def _cmd_e0_torsion(args) -> tuple[dict, Iterable[str]]:
-    points = ceresa.e0_rational_torsion()
+    points = ceresa_kit.ceresa.e0_rational_torsion()
     return (
         {"model": "y^2 = 4x^3 - 27", "points": [p.to_json() for p in points]},
         ("rational torsion of y^2 = 4x^3 - 27:", *(f"  {p}" for p in points)),
@@ -156,7 +163,8 @@ def _cmd_e0_torsion(args) -> tuple[dict, Iterable[str]]:
 
 
 def _cmd_bielliptic(args) -> tuple[dict, Iterable[str]]:
-    consistent = ceresa.bielliptic_consistency(args.a, args.c)
+    consistent = ceresa_kit.ceresa.bielliptic_consistency(args.a, args.c)
+    rat = ceresa_kit.exactmath.rat
     return (
         {"a": str(rat(args.a)), "c": str(rat(args.c)), "consistent": consistent},
         (f"consistent: {'true' if consistent else 'false'}",),
@@ -164,6 +172,7 @@ def _cmd_bielliptic(args) -> tuple[dict, Iterable[str]]:
 
 
 def _cmd_repcrit(args) -> tuple[dict, Iterable[str]]:
+    repcrit = ceresa_kit.repcrit
     profile = repcrit.load_profile(args.profile)
     d_v = repcrit.dim_inv_wedge3(profile, "V")
     d3 = repcrit.dim_inv_wedge3(profile, "H1")
@@ -201,7 +210,7 @@ def _repcrit_lines(document: dict) -> Iterator[str]:
 
 
 def _cmd_dihedral(args) -> tuple[dict, Iterable[str]]:
-    genus, witness = repcrit.dihedral_criterion(args.m, args.a, args.b)
+    genus, witness = ceresa_kit.repcrit.dihedral_criterion(args.m, args.a, args.b)
     head = f"genus {genus}; (⋀³V)^{{D_{args.m}}}"
     text = (f"{head} = 0: criterion holds" if witness is None
             else f"{head} ≠ 0: criterion fails (triple {'+'.join(map(str, witness))})")
@@ -211,7 +220,7 @@ def _cmd_dihedral(args) -> tuple[dict, Iterable[str]]:
     return document, (text,)
 
 
-def _strata_table(records: list[strata.StratumRecord]) -> Iterable[str]:
+def _strata_table(records: list[ceresa_kit.strata.StratumRecord]) -> Iterable[str]:
     rows = (
         f"{r.label:<7} {r.dim:>3}   "
         f"{'yes' if r.chow_torsion else 'no':<5} "
@@ -223,6 +232,7 @@ def _strata_table(records: list[strata.StratumRecord]) -> Iterable[str]:
 
 
 def _cmd_strata(args) -> tuple[dict, Iterable[str]]:
+    strata = ceresa_kit.strata
     if args.check:
         consistent = strata.verdict_consistency()
         return {"consistent": consistent}, (f"consistency: {'ok' if consistent else 'FAILED'}",)
@@ -234,6 +244,7 @@ def _cmd_strata(args) -> tuple[dict, Iterable[str]]:
 
 
 def _cmd_scan(args) -> tuple[None, Iterable[str]]:
+    ceresa = ceresa_kit.ceresa
     records = ceresa.scan(*_scan_axes(args.a_range, args.b_range, args.c_range))
     return None, ceresa.scan_csv_lines(records)
 
@@ -265,7 +276,7 @@ _COMMANDS = (
     ("repcrit", "group-action vanishing criteria from a profile", _cmd_repcrit, (
         _arg("--profile", required=True,
              help="profile JSON file or preset: "
-                  f"{', '.join(repcrit.PRESET_NAMES)}, dihedral:m,a,b"),
+                  f"{', '.join(PRESET_NAMES)}, dihedral:m,a,b"),
         _arg("--criterion", choices=("a", "b"), default=None),
         _FORMAT,
     )),

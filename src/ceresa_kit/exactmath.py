@@ -18,86 +18,34 @@ can be shared freely between threads.  There are no floats anywhere.
 from __future__ import annotations
 
 import math
-import re
-import sys
 from collections.abc import Iterable
 from fractions import Fraction
 
 from .errors import DomainError, quoted
+# The literal grammar and its caps live in `literals`; they are re-exported here.
+from .literals import MAX_LITERAL_CHARS, int_max_str_digits, max_literal_chars
+from .literals import integer, rational_literal
 from .value import Value
 
 RatLike = Fraction | int | str
-
-# Longest string literal ``rat`` and ``integer`` accept at CPython's default
-# limit of 4300 digits on int-to-string conversion.  A literal of L characters
-# has a numerator and a denominator below 10^L.  The printed quantity of highest
-# degree is -432 * disc, disc of weight 12 in (a, b, c) of weights (2, 3, 4);
-# over the lcm of the denominators (at most a^4, b^4 and c^3) its numerator
-# and denominator have at most about 11 L + 6 digits.  `max_literal_chars`
-# lowers the cap to fit a lower limit, so every value that `invariants`,
-# `decide` and `scan` print for accepted input can be printed.
-MAX_LITERAL_CHARS = 390
-#: CPython's current int-to-string digit limit, read live; 0 for none (3.10).
-int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
-
-# The one ASCII grammar of ``rat`` and ``integer`` on every supported Python:
-# ``Fraction`` alone also reads "1_000" on 3.11+, "1 / 2" on 3.12+ and
-# non-ASCII digits ("１２"), and ``int`` reads "1_000" and "１２" too.
-_RATIONAL_LITERAL = re.compile(r"[+-]?(?:[0-9]+(?:/0*[1-9][0-9]*)?|[0-9]+\.[0-9]*|\.[0-9]+)")
-_INTEGER_LITERAL = re.compile(r"[+-]?[0-9]+")
-
-
-def max_literal_chars() -> int:
-    """The longest literal ``rat`` and ``integer`` accept under the current int-to-string limit."""
-    limit = int_max_str_digits()
-    return min(MAX_LITERAL_CHARS, (limit - 6) // 11) if limit else MAX_LITERAL_CHARS
-
-
-def _check_length(text: str, kind: str) -> None:
-    cap = max_literal_chars()
-    if len(text) > cap:
-        raise DomainError(f"{kind} literal {quoted(text)} is longer than {cap} characters")
 
 
 def rat(value: RatLike) -> Fraction:
     """Coerce an int, Fraction, or "p/q" (or decimal) string to an exact rational.
 
-    Floats are rejected: this package never rounds.  Exponent notation
-    ("1e500000") is rejected too, since it lets a short literal demand an
-    integer of unbounded size, and so is a string longer than
-    ``max_literal_chars()`` or, once stripped, outside ``_RATIONAL_LITERAL``.
+    Floats are rejected: this package never rounds.  A string is read as
+    ``literals.rational_literal`` admits it: no exponent notation, at most
+    ``max_literal_chars()`` characters, and the package's one ASCII grammar.
     """
     # int and str first: Fraction's metaclass is ABCMeta, so for any other
     # type isinstance(value, Fraction) goes through ABCMeta.__instancecheck__.
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        _check_length(value, "rational")
-        if "e" in value or "E" in value:
-            raise DomainError(
-                f"invalid rational literal {quoted(value)}: no exponent notation"
-            )
-        if not _RATIONAL_LITERAL.fullmatch(value.strip()):
-            raise DomainError(f"invalid rational literal {quoted(value)}")
-        return Fraction(value.strip())
+        return Fraction(rational_literal(value))
     if isinstance(value, Fraction):
         return value
     raise DomainError(f"cannot interpret {quoted(value)} as an exact rational")
-
-
-def integer(text: str) -> int:
-    """Read an integer literal: an optional sign and ASCII digits, apart from
-    surrounding whitespace, as ``rat`` reads its integers.
-
-    ``int`` alone also reads "1_5" and non-ASCII digits ("１５").  Raises
-    ``ValueError`` as ``int`` does, so it can serve as an argparse type: a
-    ``DomainError`` for a literal longer than ``max_literal_chars()``.
-    """
-    _check_length(text, "integer")
-    text = text.strip()
-    if not _INTEGER_LITERAL.fullmatch(text):
-        raise ValueError(f"invalid integer literal {quoted(text)}")
-    return int(text)
 
 
 def _int_nth_root(k: int, n: int) -> int:

@@ -52,7 +52,8 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import DomainError, ProfileError, clipped, open_path, quoted
-from .exactmath import cyclotomic_polynomial, integer, monic_divmod
+from .exactmath import cyclotomic_polynomial, monic_divmod
+from .literals import PRESET_NAMES, PRESETS, integer  # the presets' one home; re-exported here
 from .value import Value
 
 
@@ -450,21 +451,6 @@ def dihedral_vanishing(m: int, a: int, b: int) -> bool:
     subgroup.
     """
     return dihedral_witness_triple(m, a, b) is None
-
-
-#: Built-in cyclic profiles: name -> (group order, generator exponents).
-PRESETS = {
-    # Order-3 cover automorphism of y^3 = quartic acting on the three
-    # differentials with eigenvalue exponents (1, 1, 2) at level 3.
-    "picard_c3": (3, (1, 1, 2)),
-    # Order-9 automorphism (x, y) -> (zeta^3 x, zeta y) of y^3 = x^4 + x acting
-    # on the basis dx/y^2, x dx/y^2, dx/y with exponents (1, 4, 2) at level 9.
-    "c9_x4px": (9, (1, 4, 2)),
-    # Order-7 symmetry of the Klein quartic, exponents (1, 2, 4) at level 7.
-    "klein_c7": (7, (1, 2, 4)),
-}
-
-PRESET_NAMES = tuple(PRESETS)
 
 
 def preset_profile(name: str) -> CyclicProfile:

@@ -4,9 +4,10 @@ A traced benchmark run (``bench/run.py --trace 1``) fails when a layer that
 ``bench/run.py``'s ``EXPECTED`` table predicts for a workload records no
 call: the function was renamed, moved off the workload's path, or bound
 somewhere the tracer's patch does not reach.  This test makes one
-representative CLI call per workload under the benchmark's own tracer, so
-that the test suite notices before a benchmark run does.  It reads the
-benchmark's modules and changes nothing in them.
+representative CLI call per workload under the benchmark's own tracer,
+after one untraced call that loads the modules the call runs, so that the
+test suite notices before a benchmark run does.  It reads the benchmark's
+modules and changes nothing in them.
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ def test_every_workload_has_a_representative_call(bench):
 def test_traced_call_reaches_every_expected_layer(bench, tmp_path, workload):
     run, tracer_module = bench
     argv = [arg.format(out=tmp_path / "scan.csv") for arg in CALLS[workload]]
+    # The tracer patches only the modules already loaded, and each handler
+    # loads its kernel modules on its first call: warm up first, as
+    # `run_workload` does.
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
     tracer = tracer_module.Tracer(run.PACKAGE, list(run.SPAN_LAYERS), list(run.COUNT_LAYERS))
     tracer.install()
     try:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import importlib
 import json
 import pickle
 import subprocess
@@ -204,37 +205,134 @@ def test_wrong_arity_is_a_type_error():
         ChowVerdict(3, None)
 
 
-# Every package module that `import ceresa_kit` loaded when the records were
-# dataclasses; none of them may become a deferred import.
-EAGER_MODULES = {
-    "ceresa_kit", "ceresa_kit.ceresa", "ceresa_kit.elliptic", "ceresa_kit.errors",
-    "ceresa_kit.exactmath", "ceresa_kit.quartic", "ceresa_kit.repcrit",
-    "ceresa_kit.strata",
-}
+# The package modules that importing the CLI and building its full parser
+# load: the CLI, its error types and the literal grammar its parser reads.
+# Each handler imports the kernel modules it runs, and the package resolves
+# its exports on first use, so the cold path loads no kernel module and no
+# `fractions` (nor, through it, `decimal`).
+COLD_MODULES = {"ceresa_kit", "ceresa_kit.cli", "ceresa_kit.errors", "ceresa_kit.literals"}
+COLD_PATH = ("import ceresa_kit.cli", "ceresa_kit.cli.build_parser()")
+SITE_FLAGS = [("-I",), ("-I", "-S")]
 
 
-def loaded_modules(*flags: str) -> set[str]:
+def loaded_modules(flags: tuple[str, ...], *lines: str) -> set[str]:
+    """The modules a fresh interpreter run with `flags` has loaded after `lines`."""
     src = str(Path(ceresa_kit.__file__).resolve().parent.parent)
-    code = (
-        "import sys\n"
-        f"sys.path.insert(0, {src!r})\n"
-        "import ceresa_kit.cli\n"
-        "ceresa_kit.cli.build_parser()\n"
-        "print('\\n'.join(sys.modules))\n"
-    )
+    code = "\n".join(("import sys", f"sys.path.insert(0, {src!r})", *lines,
+                      "print('\\n'.join(sys.modules))"))
     done = subprocess.run([sys.executable, *flags, "-c", code],
                           capture_output=True, text=True, check=True)
     return set(done.stdout.split())
 
 
+def package_modules(modules: set[str]) -> set[str]:
+    return {name for name in modules if name.partition(".")[0] == "ceresa_kit"}
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # nor json: the CLI writes its own JSON (`cli._json_text`)
-    modules = loaded_modules("-I")
+    modules = loaded_modules(("-I",), *COLD_PATH)
     assert not {"dataclasses", "inspect", "json"} & modules
-    assert EAGER_MODULES <= modules
+    assert package_modules(modules) == COLD_MODULES
+    assert not {"fractions", "decimal"} & modules
 
 
 def test_cli_import_without_site_loads_no_typing():
-    modules = loaded_modules("-I", "-S")
+    modules = loaded_modules(("-I", "-S"), *COLD_PATH)
     assert not {"dataclasses", "inspect", "typing", "json"} & modules
-    assert EAGER_MODULES <= modules
+    assert package_modules(modules) == COLD_MODULES
+    assert not {"fractions", "decimal"} & modules
+
+
+@pytest.mark.parametrize("flags", SITE_FLAGS, ids=" ".join)
+def test_importing_the_package_loads_no_submodule(flags):
+    modules = loaded_modules(flags, "import ceresa_kit")
+    assert package_modules(modules) == {"ceresa_kit"}
+    assert not {"fractions", "decimal"} & modules
+
+
+_ARITH = {"exactmath", "literals", "value"}
+_TORSION = {"ceresa", "elliptic", "quartic", *_ARITH}
+# One call of each subcommand, plain unless said otherwise, its exit code and
+# the package modules it loads beyond COLD_MODULES: exactly these, no others.
+CALL_MODULES = [
+    (["--help"], 0, set()),
+    (["decide", "-a"], 1, set()),  # a usage error
+    (["invariants", "-a", "1", "-b", "0", "-c", "1"], 0, {"quartic", *_ARITH}),
+    (["decide", "-a", "1", "-b", "0", "-c", "1"], 0, _TORSION),
+    (["torsion", "-A", "0", "-B", "1", "-x", "2", "-y", "3"], 0, {"elliptic", *_ARITH}),
+    (["family", "-I", "3", "-J", "9", "-t", "5"], 0, _TORSION),
+    (["e0-torsion"], 0, _TORSION),
+    (["bielliptic", "-a", "1", "-c", "1"], 0, _TORSION),
+    (["repcrit", "--profile", "picard_c3"], 0, {"repcrit", *_ARITH}),
+    (["dihedral", "-m", "15", "-a", "1", "-b", "3"], 0, {"repcrit", *_ARITH}),
+    (["strata", "--check"], 0, {"strata", "value"}),
+    (["scan", "--a-range", "0,1", "--b-range", "1", "--c-range", "1"], 0, _TORSION),
+]
+
+
+@pytest.mark.parametrize("flags", SITE_FLAGS, ids=" ".join)
+@pytest.mark.parametrize("argv, code, kernel", CALL_MODULES,
+                         ids=[" ".join(argv) for argv, _, _ in CALL_MODULES])
+def test_each_call_loads_only_the_modules_it_runs(flags, argv, code, kernel):
+    modules = loaded_modules(flags, "import contextlib, io", "import ceresa_kit.cli",
+                             "with contextlib.redirect_stdout(io.StringIO()), "
+                             "contextlib.redirect_stderr(io.StringIO()):",
+                             f"    assert ceresa_kit.cli.main({argv!r}) == {code}")
+    assert package_modules(modules) == COLD_MODULES | {f"ceresa_kit.{m}" for m in kernel}
+    # `value` reads `Fraction`, so every kernel module loads `fractions`.
+    assert ("fractions" in modules) == bool(kernel)
+    assert not {"dataclasses", "inspect"} & modules
+
+
+# The package's exports by defining module, as `ceresa_kit/__init__` listed
+# them when it imported every module; each resolves on first use.
+EXPORTS = {
+    "errors": ("DomainError", "ProfileError"),
+    "exactmath": ("UPoly", "cyclotomic_polynomial", "rat"),
+    "quartic": ("DepressedQuartic", "QuarticInvariants", "from_invariant_point", "gm_scale",
+                "invariants", "moduli_equal_geometric", "moduli_equal_rational"),
+    "elliptic": ("ECPoint", "INFINITY", "WeierstrassCurve", "add", "affine", "negate",
+                 "rational_torsion_j0", "scalar_mul", "torsion_order_q", "velu_3isogeny"),
+    "ceresa": ("CeresaVerdict", "ChowVerdict", "PicardCurve", "bielliptic_consistency", "decide",
+               "e0_rational_torsion", "family_generate", "picard_invariant_point", "scan"),
+    "repcrit": ("ActionProfile", "ConjClass", "CyclicProfile", "chow_criterion_applies",
+                "cyclic_profile", "dihedral_genus", "dihedral_profile", "dihedral_vanishing",
+                "dim_inv_wedge3", "griffiths_criterion_applies", "preset_profile"),
+    "strata": ("StratumRecord", "stratum_info", "verdict_consistency"),
+}
+
+
+def test_every_export_is_its_defining_modules_object_and_listed_by_dir():
+    names = [(module, name) for module, names in EXPORTS.items() for name in names]
+    assert len(names) == 45
+    listed = dir(ceresa_kit)
+    for module, name in names:
+        defining = importlib.import_module(f"ceresa_kit.{module}")
+        assert getattr(ceresa_kit, name) is getattr(defining, name), name
+        assert name in listed, name
+    assert "__version__" in listed and listed == sorted(listed)
+
+
+def test_every_submodule_the_package_once_bound_is_an_attribute():
+    # `import ceresa_kit` once imported them all; each now loads when first read.
+    listed = dir(ceresa_kit)
+    for module in (*EXPORTS, "value"):
+        assert getattr(ceresa_kit, module) is importlib.import_module(f"ceresa_kit.{module}")
+        assert module in listed, module
+    modules = loaded_modules(("-I",), "import ceresa_kit",
+                             "assert ceresa_kit.repcrit.preset_profile('picard_c3').dim == 3")
+    assert package_modules(modules) == {"ceresa_kit", "ceresa_kit.repcrit", *(
+        f"ceresa_kit.{m}" for m in ("errors", "exactmath", "literals", "value"))}
+
+
+def test_an_unknown_export_is_the_standard_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'ceresa_kit' has no attribute 'nope'$"):
+        getattr(ceresa_kit, "nope")
+
+
+def test_the_readme_import_loads_what_it_names():
+    modules = loaded_modules(("-I",), "from ceresa_kit import PicardCurve, decide, family_generate",
+                             "assert decide(family_generate(3, 9, t=5)).chow.point_order == 3")
+    kernel = {"ceresa_kit", "ceresa_kit.errors", *(f"ceresa_kit.{m}" for m in _TORSION)}
+    assert package_modules(modules) == kernel
